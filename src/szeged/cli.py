@@ -126,7 +126,13 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="ascii")
+    out = sys.stdout
+    if args.out is not None:
+        try:
+            out = open(args.out, "w", encoding="ascii")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     failed = False
     try:
         for n in ns:
@@ -149,6 +155,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
+    if args.n < 1:
+        print(f"error: need n >= 1, got {args.n}", file=sys.stderr)
+        return 2
     report = verify_lemmas(args.n)
     if args.json:
         print(json.dumps(report.to_dict()))

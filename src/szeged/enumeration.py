@@ -39,7 +39,6 @@ class UniverseFilter:
     bipartite: str = "any"
     min_girth: int | None = None
     min_edges: int | None = None
-    require_connected: bool = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -48,8 +47,6 @@ class UniverseFilter:
             raise ValueError(f"bipartite must be one of {BIPARTITE_CHOICES}")
         if self.min_girth is not None and self.min_girth < 3:
             raise ValueError("min_girth below 3 is meaningless")
-        if not self.require_connected:
-            raise ValueError("only connected universes are supported")
 
 
 def _lane(filt: UniverseFilter) -> tuple[int, bool]:
@@ -91,62 +88,22 @@ def _lane_ok(g: Graph, lane: tuple[int, bool]) -> bool:
 
 
 def _valid_columns(parent: Graph, lane: tuple[int, bool]) -> list[int]:
-    """Neighbor subsets (as bitmasks) the lane allows for a new vertex."""
-    k = parent.n
+    """Neighbor subsets (bitmasks, ascending) the lane allows a new vertex."""
     girth_k, bip = lane
-    if girth_k:
-        # Joining the new vertex to two old ones at distance d closes a
-        # cycle of length d + 2; forbid pairs with d <= girth_k - 3.
-        dm = apsp(parent)
-        conflict = [0] * k
-        for u in range(k):
-            for v in range(k):
-                d = dm[u][v]
-                if u != v and d is not None and d <= girth_k - 3:
-                    conflict[u] |= 1 << v
-        out = []
-        for s in range(2 ** k):
-            rest = s
-            ok = True
-            while rest:
-                low = rest & -rest
-                if conflict[low.bit_length() - 1] & s:
-                    ok = False
-                    break
-                rest ^= low
-            if ok:
-                out.append(s)
-        return out
-    if bip:
-        # Within each component the new neighbors must be one color,
-        # else the new vertex closes an odd cycle.
-        check = is_bipartite(parent)
-        comp = [-1] * k
-        sides: list[list[int]] = []
-        for start in range(k):
-            if comp[start] != -1:
-                continue
-            cid = len(sides)
-            m0 = m1 = 0
-            stack = [start]
-            comp[start] = cid
-            while stack:
-                u = stack.pop()
-                if check.coloring[u] == 0:
-                    m0 |= 1 << u
-                else:
-                    m1 |= 1 << u
-                for w in parent.adj[u]:
-                    if comp[w] == -1:
-                        comp[w] = cid
-                        stack.append(w)
-            sides.append([m0, m1])
-        out = []
-        for s in range(2 ** k):
-            if all(not (s & m0) or not (s & m1) for m0, m1 in sides):
-                out.append(s)
-        return out
-    return list(range(2 ** k))
+    # Joining the new vertex to two old ones at distance d closes a cycle
+    # of length d + 2: the girth lane forbids d <= girth_k - 3, the
+    # bipartite lane odd d.  Vertices in different components never clash.
+    conflict = [
+        sum(1 << v for v, d in enumerate(row)
+            if d and (d <= girth_k - 3 or (bip and d % 2)))
+        for row in apsp(parent).d
+    ]
+    # Grow the allowed subsets one vertex at a time; each new subset has
+    # bit u set and is checked against its lower vertices only.
+    out = [0]
+    for u, clash in enumerate(conflict):
+        out += [s | 1 << u for s in out if not s & clash]
+    return out
 
 
 def _children_rows(parent_codes, child_n: int, lane: tuple[int, bool]) -> np.ndarray:

@@ -72,5 +72,12 @@ def parse_graph6(data: bytes | str) -> Graph:
 
 
 def emit_graph6(g: Graph) -> bytes:
-    """graph6 encoding of g in its current labeling."""
-    return _canon.graph6_bytes_from_bits(g.n, adjacency_bits(g))
+    """graph6 encoding of g in its current labeling.
+
+    Only the short form exists here, so FormatError beyond n = 62.
+    """
+    bits = adjacency_bits(g)
+    try:
+        return _canon.graph6_bytes_from_bits(g.n, bits)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None

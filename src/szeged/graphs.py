@@ -21,8 +21,9 @@ CANON_MAX_N = 10
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Immutable after construction.  adj holds sorted neighbor tuples, masks
-    holds the same rows as integer bitmasks for fast BFS.
+    Immutable after construction.  adj holds sorted neighbor tuples, which
+    every traversal walks; masks holds the same rows as integer bitmasks
+    and backs only has_edge.
     """
 
     __slots__ = ("n", "m", "edges", "adj", "masks")
@@ -109,29 +110,28 @@ def relabel(g: Graph, perm) -> Graph:
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
-def _bfs_dist(masks, n: int, src: int) -> list[int | None]:
-    """Hop distances from src; None where unreachable."""
-    dist: list[int | None] = [None] * n
-    dist[src] = 0
-    seen = 1 << src
-    frontier = 1 << src
+def _bfs(g: Graph, src: int, cap: int | None = None):
+    """BFS depth and parent lists from src; None where unreached.
+
+    cap, if given, stops the search after the layer at that depth.
+    """
+    depth: list[int | None] = [None] * g.n
+    parent: list[int | None] = [None] * g.n
+    depth[src] = 0
+    adj = g.adj
+    frontier = [src]
     d = 0
-    while frontier:
+    while frontier and (cap is None or d < cap):
         d += 1
-        reach = 0
-        f = frontier
-        while f:
-            low = f & -f
-            reach |= masks[low.bit_length() - 1]
-            f ^= low
-        frontier = reach & ~seen
-        seen |= frontier
-        f = frontier
-        while f:
-            low = f & -f
-            dist[low.bit_length() - 1] = d
-            f ^= low
-    return dist
+        layer = []
+        for u in frontier:
+            for v in adj[u]:
+                if depth[v] is None:
+                    depth[v] = d
+                    parent[v] = u
+                    layer.append(v)
+        frontier = layer
+    return depth, parent
 
 
 class DistanceMatrix:
@@ -153,24 +153,12 @@ class DistanceMatrix:
 
 def apsp(g: Graph) -> DistanceMatrix:
     """Breadth-first distances from every vertex."""
-    rows = tuple(tuple(_bfs_dist(g.masks, g.n, s)) for s in range(g.n))
-    return DistanceMatrix(g.n, rows)
+    return DistanceMatrix(g.n, tuple(tuple(_bfs(g, s)[0]) for s in range(g.n)))
 
 
 def is_connected(g: Graph) -> bool:
     """True iff one BFS from vertex 0 reaches every vertex."""
-    seen = 1 << 0
-    frontier = seen
-    while frontier:
-        reach = 0
-        f = frontier
-        while f:
-            low = f & -f
-            reach |= g.masks[low.bit_length() - 1]
-            f ^= low
-        frontier = reach & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
+    return None not in _bfs(g, 0)[0]
 
 
 class BipartiteCheck:
@@ -212,31 +200,13 @@ def _tree_cycle(parent: list[int | None], depth: list[int | None],
     return tuple(up_u + up_v[-2::-1])
 
 
-def _bfs_tree(g: Graph, src: int):
-    """BFS depth and parent arrays from src."""
-    depth: list[int | None] = [None] * g.n
-    parent: list[int | None] = [None] * g.n
-    depth[src] = 0
-    queue = [src]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for v in g.adj[u]:
-            if depth[v] is None:
-                depth[v] = depth[u] + 1
-                parent[v] = u
-                queue.append(v)
-    return depth, parent
-
-
 def is_bipartite(g: Graph) -> BipartiteCheck:
     """2-color by BFS; on failure return a simple odd cycle instead."""
     color: list[int | None] = [None] * g.n
     for start in range(g.n):
         if color[start] is not None:
             continue
-        depth, parent = _bfs_tree(g, start)
+        depth, parent = _bfs(g, start)
         for v in range(g.n):
             if depth[v] is not None:
                 color[v] = depth[v] % 2
@@ -265,46 +235,46 @@ class CycleInfo:
         return self.length is None
 
 
+def _shortest_cycle(g: Graph, odd: bool) -> CycleInfo:
+    """Shortest cycle, or shortest odd cycle if odd; see girth."""
+    best_len = g.n + 1  # longer than any cycle
+    best: tuple[int, ...] = ()
+    for root in range(g.n):
+        if best_len == 3:  # nothing is shorter than a triangle
+            break
+        depth, parent = _bfs(g, root, (best_len - 1) // 2)
+        for u, v in g.edges:
+            du, dv = depth[u], depth[v]
+            if du is None or dv is None or du + dv + 1 >= best_len:
+                continue
+            if parent[u] == v or parent[v] == u or (odd and du != dv):
+                continue
+            best = _tree_cycle(parent, depth, u, v)
+            best_len = len(best)
+    return CycleInfo(len(best), best) if best else CycleInfo(None, ())
+
+
 def girth(g: Graph) -> CycleInfo:
     """Length and witness of a shortest cycle; acyclic marker for forests.
 
-    BFS from every vertex; each non-tree edge closes a cycle through the
-    tree, and the shortest such cycle over all roots is a shortest cycle
-    of the graph.
+    BFS from every vertex.  A non-tree edge (u, v) closes a cycle through
+    the tree of length at most depth[u] + depth[v] + 1, with equality for
+    some edge when the root lies on a shortest cycle.  So each BFS stops
+    at the depth beyond which no cycle shorter than the best so far can
+    close, only edges whose bound beats the best are candidates, and the
+    tree cycle is built once per improvement.
     """
-    best: tuple[int, ...] | None = None
-    for root in range(g.n):
-        depth, parent = _bfs_tree(g, root)
-        for u, v in g.edges:
-            if depth[u] is None or parent[u] == v or parent[v] == u:
-                continue
-            cycle = _tree_cycle(parent, depth, u, v)
-            if best is None or len(cycle) < len(best):
-                best = cycle
-    if best is None:
-        return CycleInfo(None, ())
-    return CycleInfo(len(best), best)
+    return _shortest_cycle(g, odd=False)
 
 
 def odd_girth(g: Graph) -> CycleInfo:
     """Length and witness of a shortest odd cycle; acyclic marker if none.
 
-    An edge joining two vertices on the same BFS layer closes an odd walk;
-    collapsing it through the tree gives a simple odd cycle, and the
-    minimum over all roots is a shortest odd cycle.
+    The same capped scan as girth, restricted to edges joining two
+    vertices on one BFS layer: such an edge closes an odd walk, and
+    collapsing it through the tree gives a simple odd cycle.
     """
-    best: tuple[int, ...] | None = None
-    for root in range(g.n):
-        depth, parent = _bfs_tree(g, root)
-        for u, v in g.edges:
-            if depth[u] is None or depth[u] != depth[v]:
-                continue
-            cycle = _tree_cycle(parent, depth, u, v)
-            if best is None or len(cycle) < len(best):
-                best = cycle
-    if best is None:
-        return CycleInfo(None, ())
-    return CycleInfo(len(best), best)
+    return _shortest_cycle(g, odd=True)
 
 
 class BlockDecomposition:

@@ -8,6 +8,7 @@ term (n_u + n_0/2)(n_v + n_0/2) has denominator exactly 4, so
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 
 from .errors import Disconnected, NotAnEdge, SamePair
 from .graphs import (
@@ -82,46 +83,45 @@ def _require_edge(g: Graph, e) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _split(du, dv) -> tuple[int, int, int]:
+    """(n_u, n_v, n_0) from the distance rows of an edge's endpoints."""
+    n_u = sum(map(lt, du, dv))
+    n_v = sum(map(lt, dv, du))
+    return n_u, n_v, len(du) - n_u - n_v
+
+
 def edge_partition(g: Graph, dm: DistanceMatrix, e) -> EdgePartition:
     """Counts of vertices strictly closer to u, strictly closer to v, tied."""
     _require_connected(dm)
     u, v = _require_edge(g, e)
-    du, dv = dm[u], dm[v]
-    n_u = n_v = n_0 = 0
-    for w in range(g.n):
-        if du[w] < dv[w]:
-            n_u += 1
-        elif dv[w] < du[w]:
-            n_v += 1
-        else:
-            n_0 += 1
-    return EdgePartition((u, v), n_u, n_v, n_0)
+    return EdgePartition((u, v), *_split(dm[u], dm[v]))
 
 
 def wiener(g: Graph, dm: DistanceMatrix) -> int:
     """Sum of distances over unordered vertex pairs."""
     _require_connected(dm)
-    return sum(dm[u][v] for u in range(g.n) for v in range(u + 1, g.n))
+    return sum(map(sum, dm.d)) // 2
+
+
+def _szeged_pair(g: Graph, dm: DistanceMatrix) -> tuple[int, int]:
+    """(Sz, 4*Sz*) from one pass over the edges."""
+    _require_connected(dm)
+    sz = rsz4 = 0
+    for u, v in g.edges:
+        n_u, n_v, n_0 = _split(dm[u], dm[v])
+        sz += n_u * n_v
+        rsz4 += (2 * n_u + n_0) * (2 * n_v + n_0)
+    return sz, rsz4
 
 
 def szeged(g: Graph, dm: DistanceMatrix) -> int:
     """Sum over edges of n_u * n_v."""
-    _require_connected(dm)
-    total = 0
-    for e in g.edges:
-        p = edge_partition(g, dm, e)
-        total += p.n_u * p.n_v
-    return total
+    return _szeged_pair(g, dm)[0]
 
 
 def revised_szeged_x4(g: Graph, dm: DistanceMatrix) -> int:
     """Sum over edges of (2*n_u + n_0)(2*n_v + n_0); equals 4*Sz*."""
-    _require_connected(dm)
-    total = 0
-    for e in g.edges:
-        p = edge_partition(g, dm, e)
-        total += (2 * p.n_u + p.n_0) * (2 * p.n_v + p.n_0)
-    return total
+    return _szeged_pair(g, dm)[1]
 
 
 def mu(g: Graph, dm: DistanceMatrix, x: int, y: int, e) -> int:
@@ -165,7 +165,7 @@ def pi(g: Graph, dm: DistanceMatrix, x: int, y: int) -> PairContribution:
 def n0_sum(g: Graph, dm: DistanceMatrix) -> int:
     """Total count of endpoint-equidistant vertices over all edges."""
     _require_connected(dm)
-    return sum(edge_partition(g, dm, e).n_0 for e in g.edges)
+    return sum(_split(dm[u], dm[v])[2] for u, v in g.edges)
 
 
 def blocks_all_complete(g: Graph, bd: BlockDecomposition) -> bool:
@@ -185,8 +185,7 @@ def index_report(g: Graph, dm: DistanceMatrix | None = None) -> IndexReport:
         dm = apsp(g)
     _require_connected(dm)
     w = wiener(g, dm)
-    sz = szeged(g, dm)
-    rsz4 = revised_szeged_x4(g, dm)
+    sz, rsz4 = _szeged_pair(g, dm)
     return IndexReport(
         n=g.n,
         m=g.m,

@@ -7,7 +7,13 @@ import json
 
 import pytest
 
-from szeged import BoundValue, VerificationReport, cycle_graph, emit_edgelist
+from szeged import (
+    BoundValue,
+    VerificationReport,
+    cycle_graph,
+    emit_edgelist,
+    path_graph,
+)
 from szeged.cli import main
 
 C5_TEXT = emit_edgelist(cycle_graph(5))
@@ -260,3 +266,21 @@ class TestArgparseFailures:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+class TestExitCodes:
+    """Bad arguments exit 2 and unusable input 3, never 1 with a traceback."""
+
+    @pytest.mark.parametrize("argv,stdin,want", [
+        (["lemmas", "--n", "0"], None, 2),
+        (["lemmas", "--n", "-3"], None, 2),
+        (["verify", "--theorem", "thm3", "--n", "4",
+          "--out", "/nonexistent/x"], None, 2),
+        (["convert", "--from", "edgelist", "--to", "graph6"],
+         emit_edgelist(path_graph(100)), 3),
+    ], ids=["lemmas-zero", "lemmas-negative", "verify-unwritable-out",
+            "convert-graph6-too-long"])
+    def test_exit_code(self, capsys, monkeypatch, argv, stdin, want):
+        code, out, err = run(capsys, monkeypatch, argv, stdin=stdin)
+        assert code == want
+        assert out == "" and err.startswith("error:")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import oracles
+from szeged import enumeration
 from szeged import (
     TooLarge,
     UniverseFilter,
@@ -49,7 +50,6 @@ class TestFilterValidation:
         {"n": 0},
         {"n": 5, "bipartite": "maybe"},
         {"n": 5, "min_girth": 2},
-        {"n": 5, "require_connected": False},
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -150,6 +150,15 @@ class TestSoundness:
     def test_deterministic(self):
         filt = UniverseFilter(6, bipartite="no")
         assert universe(filt) == universe(filt)
+
+
+def test_bipartite_lane_keeps_exactly_the_bipartite_partials():
+    # Level partials may be disconnected, which no universe count sees.
+    for k in range(1, 8):
+        every = enumeration._level_codes(k, (0, False))
+        want = tuple(c for c in every
+                     if is_bipartite(graph_from_code(k, c)))
+        assert enumeration._level_codes(k, (0, True)) == want
 
 
 class TestPrefixPartition:

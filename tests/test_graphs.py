@@ -217,6 +217,38 @@ class TestOddGirth:
                 assert gi.length <= oi.length
 
 
+def _assert_cycle_witness(g, info, want_len):
+    assert info.length == want_len
+    w = info.witness
+    assert len(w) == (want_len or 0) and len(set(w)) == len(w)
+    for a, b in zip(w, w[1:] + w[:1]):
+        assert g.has_edge(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_shortest_cycles_against_cycle_search(seed):
+    n, edges = oracles.random_connected_graph(random.Random(seed), max_n=10)
+    g = build_graph(n, edges)
+    _assert_cycle_witness(g, girth(g), oracles.girth_cycle_search(n, edges))
+    _assert_cycle_witness(g, odd_girth(g),
+                          oracles.girth_cycle_search(n, edges, parity="odd"))
+
+
+def test_girth_against_networkx_on_sparse_graphs():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2024)
+    for i in range(20):
+        n = rng.randint(30, 300)
+        edges = {(rng.randint(0, v - 1), v) for v in range(1, n)}
+        while len(edges) < n - 1 + i % 5:  # i % 5 == 0 leaves a tree
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        g = build_graph(n, edges)
+        want = nx.girth(nx.Graph(list(edges)))
+        _assert_cycle_witness(g, girth(g), None if want == float("inf") else want)
+
+
 class TestBlocks:
     def test_path(self):
         bd = blocks(path_graph(3))
