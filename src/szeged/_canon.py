@@ -2,9 +2,11 @@
 
 A labeled graph on n vertices is a 0/1 vector over the C(n,2) vertex pairs in
 column order (0,1), (0,2), (1,2), (0,3), ... — the same order graph6 uses.
-The canonical form of a graph is the lexicographically smallest such vector
-over all vertex relabelings.  Everything here works on numpy uint8 bit rows so
-whole batches of graphs can be swept through all n! permutations at once.
+Read as an m-bit integer with the first pair as the top bit, it is the graph's
+code; the canonical code is the smallest code over all vertex relabelings.
+Whole batches of rows are swept through all n! relabelings at once: each
+relabeled code is one exact float64 matrix product of the bit rows with a
+table of powers of two.
 """
 
 from __future__ import annotations
@@ -14,10 +16,13 @@ from functools import lru_cache
 
 import numpy as np
 
-# Permutation sweeps beyond this vertex count are done in chunks instead of
-# one cached table.
+# Weight tables cover at most MAX_TABLE_N! permutations; larger n sweeps
+# n!/MAX_TABLE_N! blocks of them, one per choice of the first
+# n - MAX_TABLE_N images.
 MAX_TABLE_N = 8
-PERM_CHUNK = 40320
+# Codes are sums of distinct powers of two below 2^m, exact in float64 only
+# while m fits its 53-bit significand.
+MAX_EXACT_BITS = 53
 
 
 def num_pairs(n: int) -> int:
@@ -37,96 +42,74 @@ def pair_list(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for j in range(n) for i in range(j))
 
 
-def _code_width(n: int) -> int:
-    # Bits are packed big-endian into a single unsigned word.
-    return 32 if num_pairs(n) <= 32 else 64
-
-
-@lru_cache(maxsize=None)
-def _pair_component_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    pairs = pair_list(n)
-    first = np.array([p[0] for p in pairs], dtype=np.int64)
-    second = np.array([p[1] for p in pairs], dtype=np.int64)
-    return first, second
-
-
-@lru_cache(maxsize=None)
-def _pair_index_matrix(n: int) -> np.ndarray:
-    mat = np.zeros((n, n), dtype=np.int64)
-    for i, j in pair_list(n):
-        mat[i, j] = mat[j, i] = pair_index(i, j)
-    return mat
-
-
 def _source_table(perms: np.ndarray, n: int) -> np.ndarray:
     """For each permutation row, the source bit index feeding each target bit."""
-    first, second = _pair_component_arrays(n)
-    idx = _pair_index_matrix(n)
-    return idx[perms[:, first], perms[:, second]]
+    pairs = np.array(pair_list(n), dtype=np.int64).reshape(-1, 2)
+    idx = np.zeros((n, n), dtype=np.int64)
+    idx[pairs[:, 0], pairs[:, 1]] = idx[pairs[:, 1], pairs[:, 0]] = np.arange(len(pairs))
+    return idx[perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]]
 
 
 @lru_cache(maxsize=None)
-def _full_source_table(n: int) -> np.ndarray:
-    if n > MAX_TABLE_N:
-        raise ValueError(f"no cached permutation table for n={n}")
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    return _source_table(perms, n)
+def _weights(n: int) -> np.ndarray:
+    """Wt (m, P) over the permutations fixing vertices below n - MAX_TABLE_N.
 
-
-def _perm_chunks(n: int):
-    """Yield source tables for all n! permutations, in chunks."""
-    if n <= MAX_TABLE_N:
-        yield _full_source_table(n)
-        return
-    it = itertools.permutations(range(n))
-    while True:
-        block = list(itertools.islice(it, PERM_CHUNK))
-        if not block:
-            return
-        yield _source_table(np.array(block, dtype=np.int64), n)
-
-
-def pack_codes(bits: np.ndarray, n: int) -> np.ndarray:
-    """Pack bit rows (..., C(n,2)) into big-endian integer codes."""
-    width = _code_width(n)
+    That is all n! permutations when n <= MAX_TABLE_N.  Wt[s, p] = 2^(m-1-t)
+    where permutation p moves source slot s to target slot t, so bits @ Wt
+    holds every such relabeled code of every row.
+    """
+    k = max(0, n - MAX_TABLE_N)
+    tails = list(itertools.permutations(range(k, n)))
+    perms = np.array([tuple(range(k)) + t for t in tails],
+                     dtype=np.int64).reshape(len(tails), n)
+    src = _source_table(perms, n)
     m = num_pairs(n)
-    padded = np.zeros(bits.shape[:-1] + (width,), dtype=np.uint8)
-    padded[..., :m] = bits
-    packed = np.packbits(padded, axis=-1)
-    dtype = ">u4" if width == 32 else ">u8"
-    codes = packed.reshape(padded.shape[:-1] + (width // 8,)).view(dtype)
-    return codes.reshape(bits.shape[:-1]).astype(np.uint64)
+    wt = np.zeros((m, len(perms)))
+    wt[src, np.arange(len(perms))[:, None]] = 2.0 ** np.arange(m - 1, -1, -1)
+    return wt
+
+
+def _block_sources(n: int):
+    """One relabeling per block: the first n - MAX_TABLE_N images fixed.
+
+    Composing each with the permutations of _weights(n) yields every one of
+    the n! relabelings exactly once.
+    """
+    k = max(0, n - MAX_TABLE_N)
+    for head in itertools.permutations(range(n), k):
+        rest = tuple(v for v in range(n) if v not in head)
+        yield _source_table(np.array([head + rest], dtype=np.int64), n)[0]
 
 
 def unpack_code(code: int, n: int) -> np.ndarray:
-    """Inverse of pack_codes for a single code."""
-    width = _code_width(n)
+    """Column-order bit row of an m-bit code."""
     m = num_pairs(n)
-    raw = int(code).to_bytes(width // 8, "big")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:m].copy()
+    return ((int(code) >> np.arange(m - 1, -1, -1)) & 1).astype(np.uint8)
 
 
 def min_codes(bits: np.ndarray, n: int, batch_limit: int = 2**24) -> np.ndarray:
     """Canonical (minimal) code of each bit row under all vertex relabelings.
 
-    bits has shape (B, C(n,2)); the returned array has shape (B,).  Work is
-    chunked so that no intermediate exceeds roughly batch_limit bytes.
+    bits has shape (B, C(n,2)); the returned int64 array has shape (B,).
+    Rows are chunked so that no (rows, permutations) product exceeds roughly
+    batch_limit bytes.
     """
     bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
     b, m = bits.shape
     if m != num_pairs(n):
         raise ValueError("bit row length does not match n")
-    if m == 0:
-        return np.zeros(b, dtype=np.uint64)
-    best = np.full(b, np.iinfo(np.uint64).max, dtype=np.uint64)
-    for src in _perm_chunks(n):
-        rows_per_pass = max(1, batch_limit // (src.shape[0] * m))
+    if m > MAX_EXACT_BITS:
+        raise ValueError(f"codes of {m} bits are not exact in float64 (n={n})")
+    wt = _weights(n)
+    rows_per_pass = max(1, batch_limit // (wt.shape[1] * 8))
+    best = np.full(b, np.inf)
+    for src in _block_sources(n):
         for start in range(0, b, rows_per_pass):
-            stop = min(b, start + rows_per_pass)
-            permuted = bits[start:stop, src]  # (rows, perms, m)
-            codes = pack_codes(permuted, n).min(axis=1)
-            np.minimum(best[start:stop], codes, out=best[start:stop])
-    return best
+            chunk = bits[start:start + rows_per_pass, src].astype(np.float64)
+            codes = (chunk @ wt).min(axis=1)
+            np.minimum(best[start:start + rows_per_pass], codes,
+                       out=best[start:start + rows_per_pass])
+    return best.astype(np.int64)
 
 
 def graph6_bytes_from_bits(n: int, bits: np.ndarray) -> bytes:

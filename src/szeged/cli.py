@@ -16,13 +16,13 @@ import json
 import random
 import sys
 
-from .enumeration import MAX_N, MAX_N_PRUNED
+from .enumeration import MAX_N, MAX_N_PRUNED, check_scope
 from .errors import Disconnected, FormatError, GraphError, HypothesisViolated, TooLarge
 from .extremal import TreeSpec, c5_two_trees, cycle_with_tree
 from .formats import emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
 from .graphs import Graph, apsp
 from .invariants import index_report, pi
-from .verify import THEOREMS, verify_lemmas, verify_theorem
+from .verify import THEOREMS, universe_filter, verify_lemmas, verify_theorem
 
 FORMATS = ("edgelist", "graph6")
 
@@ -126,6 +126,9 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # Reject every n up front, so a bad range end costs no work and no file.
+    for n in ns:
+        check_scope(universe_filter(args.theorem, n))
     out = sys.stdout
     if args.out is not None:
         try:

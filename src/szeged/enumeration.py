@@ -17,11 +17,10 @@ import numpy as np
 
 from . import _canon
 from .errors import TooLarge
-from .graphs import Graph, apsp, build_graph, girth, is_bipartite, is_connected
+from .graphs import Graph, apsp, build_graph, is_bipartite, is_connected
 
 MAX_N = 8
 MAX_N_PRUNED = 9  # girth-pruned lanes stay tiny one level further
-MAX_PREFIX = 6
 
 BIPARTITE_CHOICES = ("yes", "no", "any")
 
@@ -55,8 +54,11 @@ def _lane(filt: UniverseFilter) -> tuple[int, bool]:
     return (g, filt.bipartite == "yes")
 
 
-def _scope_limit(filt: UniverseFilter) -> int:
-    return MAX_N_PRUNED if (filt.min_girth or 0) >= 5 else MAX_N
+def check_scope(filt: UniverseFilter) -> None:
+    """Raise TooLarge if the filter's n is beyond its enumeration cap."""
+    limit = MAX_N_PRUNED if (filt.min_girth or 0) >= 5 else MAX_N
+    if filt.n > limit:
+        raise TooLarge(f"enumeration capped at n = {limit} for this filter")
 
 
 def _graph_from_bits(n: int, bits) -> Graph:
@@ -65,7 +67,7 @@ def _graph_from_bits(n: int, bits) -> Graph:
 
 
 def graph_from_code(n: int, code: int) -> Graph:
-    """Graph in canonical labeling from its packed canonical code."""
+    """Graph in canonical labeling from its m-bit canonical code."""
     return _graph_from_bits(n, _canon.unpack_code(code, n))
 
 
@@ -73,18 +75,6 @@ def _subset_bits(k: int) -> np.ndarray:
     """All 2^k subsets of [0, k) as uint8 rows, subset s in row s."""
     s = np.arange(2 ** k, dtype=np.uint32)
     return ((s[:, None] >> np.arange(k, dtype=np.uint32)) & 1).astype(np.uint8)
-
-
-def _lane_ok(g: Graph, lane: tuple[int, bool]) -> bool:
-    """Whether a partial graph can survive in this lane."""
-    girth_k, bip = lane
-    if bip and not is_bipartite(g):
-        return False
-    if girth_k:
-        info = girth(g)
-        if info.length is not None and info.length < girth_k:
-            return False
-    return True
 
 
 def _valid_columns(parent: Graph, lane: tuple[int, bool]) -> list[int]:
@@ -189,57 +179,12 @@ def _universe_codes(filt: UniverseFilter) -> tuple[int, ...]:
     return _finalize(filt, rows)
 
 
-def _seed_codes(j: int, prefix: tuple[int, ...], lane: tuple[int, bool]) -> tuple[int, ...]:
-    """Canonical codes of j-vertex partials matching the edge-slot prefix."""
-    m = _canon.num_pairs(j)
-    rows = []
-    for s in range(2 ** m):
-        bits = np.array([(s >> i) & 1 for i in range(m)], dtype=np.uint8)
-        if tuple(bits[:len(prefix)]) != prefix:
-            continue
-        if _lane_ok(_graph_from_bits(j, bits), lane):
-            rows.append(bits)
-    if not rows:
-        return ()
-    codes = _canon.min_codes(np.stack(rows), j)
-    return tuple(sorted({int(c) for c in codes.tolist()}))
-
-
-def _universe_codes_prefixed(filt: UniverseFilter,
-                             prefix: tuple[int, ...]) -> tuple[int, ...]:
-    lane = _lane(filt)
-    j = 1
-    while _canon.num_pairs(j) < len(prefix):
-        j += 1
-    if j > filt.n:
-        raise TooLarge(f"prefix of {len(prefix)} slots exceeds n = {filt.n}")
-    codes = _seed_codes(j, prefix, lane)
-    if j == filt.n:
-        return tuple(c for c in codes
-                     if _passes(filt, graph_from_code(filt.n, c)))
-    for level in range(j + 1, filt.n):
-        codes = _dedup_codes(_children_rows(codes, level, lane), level)
-    return _finalize(filt, _children_rows(codes, filt.n, lane))
-
-
-def enumerate_connected(filt: UniverseFilter, prefix: tuple[int, ...] = ()):
+def enumerate_connected(filt: UniverseFilter):
     """Yield one representative per isomorphism class matching the filter.
 
     Graphs come out in canonical labeling, ordered by canonical code, so
-    two runs always agree.  prefix fixes the first edge-slot decisions of
-    the labeled search; unioning the yields over all assignments of a
-    fixed-length prefix reproduces the prefix-free result exactly.
+    two runs always agree.
     """
-    limit = _scope_limit(filt)
-    if filt.n > limit:
-        raise TooLarge(f"enumeration capped at n = {limit} for this filter")
-    if len(prefix) > MAX_PREFIX:
-        raise TooLarge(f"prefix splitting capped at {MAX_PREFIX} slots")
-    if any(b not in (0, 1) for b in prefix):
-        raise ValueError("prefix entries must be 0 or 1")
-    if prefix:
-        codes = _universe_codes_prefixed(filt, tuple(prefix))
-    else:
-        codes = _universe_codes(filt)
-    for code in codes:
+    check_scope(filt)
+    for code in _universe_codes(filt):
         yield graph_from_code(filt.n, code)

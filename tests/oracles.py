@@ -77,6 +77,10 @@ def revised_szeged_x4_oracle(n, edges):
 
 def _subset_has_cycle(edge_set, subset):
     """Is there a cycle visiting exactly the vertices of subset?"""
+    # Every vertex of such a cycle has two neighbours inside the subset.
+    for v in subset:
+        if sum((min(v, w), max(v, w)) in edge_set for w in subset) < 2:
+            return False
     first, *rest = subset
     for perm in itertools.permutations(rest):
         ring = (first,) + perm

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 
@@ -284,3 +285,18 @@ class TestExitCodes:
         code, out, err = run(capsys, monkeypatch, argv, stdin=stdin)
         assert code == want
         assert out == "" and err.startswith("error:")
+
+    def test_range_out_of_scope_fails_before_any_work(self, capsys, monkeypatch,
+                                                      tmp_path):
+        def no_work(which, n):
+            raise AssertionError(f"verified n={n} before rejecting the range")
+
+        monkeypatch.setattr("szeged.cli.verify_theorem", no_work)
+        path = tmp_path / "x.jsonl"
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, monkeypatch,
+                             ["verify", "--theorem", "thm3", "--n", "5..9",
+                              "--json", "--out", str(path)])
+        assert time.perf_counter() - t0 < 1
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert not path.exists()

@@ -1,11 +1,16 @@
-"""Exhaustive small-graph enumeration: counts, soundness, partitioning."""
+"""Exhaustive small-graph enumeration and the canonizer behind it."""
 
 from __future__ import annotations
 
+import itertools
+import random
+import time
+
+import numpy as np
 import pytest
 
 import oracles
-from szeged import enumeration
+from szeged import _canon, enumeration
 from szeged import (
     TooLarge,
     UniverseFilter,
@@ -18,6 +23,7 @@ from szeged import (
     graph_from_code,
     is_bipartite,
     is_connected,
+    relabel,
 )
 
 
@@ -41,8 +47,8 @@ def thm3_pred(n, edges):
             and not oracles.bipartite_2color(n, edges))
 
 
-def universe(filt, prefix=()):
-    return list(enumerate_connected(filt, prefix))
+def universe(filt):
+    return list(enumerate_connected(filt))
 
 
 class TestFilterValidation:
@@ -54,10 +60,6 @@ class TestFilterValidation:
     def test_rejected(self, kwargs):
         with pytest.raises(ValueError):
             UniverseFilter(**kwargs)
-
-    def test_bad_prefix_entries(self):
-        with pytest.raises(ValueError):
-            universe(UniverseFilter(4), prefix=(0, 2))
 
 
 class TestCountsAgainstOracle:
@@ -113,6 +115,11 @@ class TestFrozenCounts:
             by_m[g.m] = by_m.get(g.m, 0) + 1
         assert by_m == {8: 11, 9: 5, 10: 1}
 
+    def test_n8_connected(self):
+        # OEIS A001349 (connected graphs) and A005142 (connected bipartite).
+        assert len(universe(UniverseFilter(8))) == 11117
+        assert len(universe(UniverseFilter(8, bipartite="yes"))) == 182
+
 
 class TestSoundness:
     FILTERS = [
@@ -161,43 +168,6 @@ def test_bipartite_lane_keeps_exactly_the_bipartite_partials():
         assert enumeration._level_codes(k, (0, True)) == want
 
 
-class TestPrefixPartition:
-    CASES = [
-        (UniverseFilter(5), 1),
-        (UniverseFilter(5), 3),
-        (UniverseFilter(5), 6),
-        (UniverseFilter(5, bipartite="yes", min_edges=5), 3),
-        (UniverseFilter(6, bipartite="no", min_girth=5), 6),
-        (UniverseFilter(6, min_girth=4, min_edges=7), 4),
-    ]
-
-    @pytest.mark.parametrize("filt,k", CASES)
-    def test_union_reproduces_full_run(self, filt, k):
-        full = {canonical_form(g) for g in universe(filt)}
-        merged = set()
-        for s in range(2 ** k):
-            prefix = tuple((s >> i) & 1 for i in range(k))
-            part = universe(filt, prefix)
-            for g in part:
-                assert is_connected(g) and g.n == filt.n
-            merged |= {canonical_form(g) for g in part}
-        assert merged == full
-
-    def test_prefix_equals_all_pair_slots(self):
-        # n = 3 has exactly 3 slots; fixing all of them pins one labeled graph
-        filt = UniverseFilter(3)
-        got = universe(filt, (1, 1, 0))
-        assert len(got) == 1 and got[0].m == 2
-
-    def test_prefix_cap(self):
-        with pytest.raises(TooLarge):
-            universe(UniverseFilter(5), prefix=(0,) * 7)
-
-    def test_prefix_longer_than_graph(self):
-        with pytest.raises(TooLarge):
-            universe(UniverseFilter(2), prefix=(0, 0, 0, 0))
-
-
 class TestScopeCaps:
     def test_plain_capped_at_8(self):
         with pytest.raises(TooLarge):
@@ -214,8 +184,65 @@ class TestScopeCaps:
 
 class TestGraphFromCode:
     def test_inverts_bit_packing(self):
-        from szeged._canon import pack_codes
-
         for g in universe(UniverseFilter(5)):
-            code = int(pack_codes(adjacency_bits(g)[None, :], 5)[0])
+            code = int("".join(map(str, adjacency_bits(g))), 2)
             assert graph_from_code(5, code) == g
+
+
+def naive_min_code(bits, n):
+    """Smallest m-bit code over every relabeling, one permutation at a time."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]  # column order
+    slot = {pair: k for k, pair in enumerate(pairs)}
+    best = None
+    for perm in itertools.permutations(range(n)):
+        code = 0
+        for i, j in pairs:
+            code = 2 * code + int(bits[slot[tuple(sorted((perm[i], perm[j])))]])
+        best = code if best is None else min(best, code)
+    return best
+
+
+def random_rows(rng, count, n):
+    """count bit rows on n vertices, each with its own edge density."""
+    m = n * (n - 1) // 2
+    rows = []
+    for _ in range(count):
+        p = rng.random()
+        rows.append([int(rng.random() < p) for _ in range(m)])
+    return np.array(rows, dtype=np.uint8).reshape(count, m)
+
+
+class TestMinCodes:
+    @pytest.mark.parametrize("n,count", [(1, 2), (2, 4), (3, 8), (4, 40),
+                                         (5, 30), (6, 12), (7, 4)])
+    def test_matches_naive_minimum(self, n, count):
+        rows = random_rows(random.Random(n), count, n)
+        got = _canon.min_codes(rows, n)
+        assert [int(c) for c in got] == [naive_min_code(r, n) for r in rows]
+
+    def test_row_chunking_does_not_change_codes(self):
+        rows = random_rows(random.Random(7), 50, 7)
+        assert (_canon.min_codes(rows, 7, batch_limit=1)
+                == _canon.min_codes(rows, 7)).all()
+
+    def test_block_sweep_beyond_table_size(self):
+        nx = pytest.importorskip("networkx")
+        n = 9
+        rng = random.Random(9)
+        edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
+                 if rng.random() < 0.4]
+        g = build_graph(n, edges)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        rows = np.stack([adjacency_bits(g), adjacency_bits(relabel(g, perm))])
+        a, b = _canon.min_codes(rows, n)
+        assert a == b
+        back = graph_from_code(n, int(a))
+        assert nx.is_isomorphic(*(nx.Graph(list(h.edges)) for h in (back, g)))
+        assert back.n == g.n and back.m == g.m
+
+    def test_codes_beyond_float64_rejected_at_once(self):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError):
+            _canon.min_codes(np.zeros((1, _canon.num_pairs(11)), np.uint8), 11)
+        assert time.perf_counter() - t0 < 1
