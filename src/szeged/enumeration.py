@@ -1,11 +1,12 @@
 """Exhaustive enumeration of small connected graphs up to isomorphism.
 
-The search is an incremental edge-set search over the adjacency upper
-triangle in column order: vertex k's column is a neighbor subset of the
-k vertices before it.  After each column the partials are deduplicated by
-canonical form, hereditary constraints (bipartite, no short cycles) prune
-subsets before they are generated, and the non-hereditary filters
-(connectivity, nonbipartite, edge count) run on the completed graphs.
+The search grows graphs one vertex at a time over the adjacency upper
+triangle in column order: vertex k's column is a nonempty neighbor subset
+of the k vertices before it, added to a connected parent, so every level
+holds connected graphs only, deduplicated by canonical form.  Hereditary
+constraints (bipartite, no short cycles) prune subsets before they are
+generated; the non-hereditary filters (nonbipartite, edge count) run on
+the last level's representatives.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import _canon
 from .errors import TooLarge
-from .graphs import Graph, apsp, build_graph, is_bipartite, is_connected
+from .graphs import Graph, apsp, graph_from_bits, is_bipartite
 
 MAX_N = 8
 MAX_N_PRUNED = 9  # girth-pruned lanes stay tiny one level further
@@ -61,28 +62,17 @@ def check_scope(filt: UniverseFilter) -> None:
         raise TooLarge(f"enumeration capped at n = {limit} for this filter")
 
 
-def _graph_from_bits(n: int, bits) -> Graph:
-    edges = [pair for pair, bit in zip(_canon.pair_list(n), bits) if bit]
-    return build_graph(n, edges)
-
-
 def graph_from_code(n: int, code: int) -> Graph:
     """Graph in canonical labeling from its m-bit canonical code."""
-    return _graph_from_bits(n, _canon.unpack_code(code, n))
-
-
-def _subset_bits(k: int) -> np.ndarray:
-    """All 2^k subsets of [0, k) as uint8 rows, subset s in row s."""
-    s = np.arange(2 ** k, dtype=np.uint32)
-    return ((s[:, None] >> np.arange(k, dtype=np.uint32)) & 1).astype(np.uint8)
+    return graph_from_bits(n, _canon.unpack_code(code, n))
 
 
 def _valid_columns(parent: Graph, lane: tuple[int, bool]) -> list[int]:
-    """Neighbor subsets (bitmasks, ascending) the lane allows a new vertex."""
+    """Nonempty neighbor subsets (bitmasks, ascending) the lane allows."""
     girth_k, bip = lane
     # Joining the new vertex to two old ones at distance d closes a cycle
     # of length d + 2: the girth lane forbids d <= girth_k - 3, the
-    # bipartite lane odd d.  Vertices in different components never clash.
+    # bipartite lane odd d.
     conflict = [
         sum(1 << v for v, d in enumerate(row)
             if d and (d <= girth_k - 3 or (bip and d % 2)))
@@ -93,90 +83,50 @@ def _valid_columns(parent: Graph, lane: tuple[int, bool]) -> list[int]:
     out = [0]
     for u, clash in enumerate(conflict):
         out += [s | 1 << u for s in out if not s & clash]
-    return out
+    return out[1:]
 
 
 def _children_rows(parent_codes, child_n: int, lane: tuple[int, bool]) -> np.ndarray:
-    """Bit rows of all one-vertex extensions the lane permits."""
+    """Bit rows of all one-vertex extensions the lane permits.
+
+    The new vertex's column occupies the last k slots: pair (i, child_n - 1)
+    sits at index num_pairs(k) + i.
+    """
     k = child_n - 1
-    mp = _canon.num_pairs(k)
-    mc = _canon.num_pairs(child_n)
-    girth_k, bip = lane
-    if not girth_k and not bip:
-        # Unrestricted lane: tile every parent against every subset.
-        parents = np.stack([_canon.unpack_code(c, k) for c in parent_codes])
-        cols = _subset_bits(k)
-        left = np.repeat(parents, len(cols), axis=0)
-        right = np.tile(cols, (len(parents), 1))
-        return np.hstack([left, right])
-    rows = []
+    shifts = np.arange(k)
+    blocks = []
     for code in parent_codes:
         pbits = _canon.unpack_code(code, k)
-        parent = _graph_from_bits(k, pbits)
-        for s in _valid_columns(parent, lane):
-            # The new vertex's column occupies slots mp..mc-1: pair
-            # (i, child) sits at index mp + i.
-            row = np.zeros(mc, dtype=np.uint8)
-            row[:mp] = pbits
-            for i in range(k):
-                if (s >> i) & 1:
-                    row[mp + i] = 1
-            rows.append(row)
-    if not rows:
-        return np.zeros((0, mc), dtype=np.uint8)
-    return np.stack(rows)
-
-
-def _dedup_codes(rows: np.ndarray, n: int) -> tuple[int, ...]:
-    """Canonical codes of the given bit rows, sorted and unique."""
-    if len(rows) == 0:
-        return ()
-    rows = np.unique(rows, axis=0)
-    codes = _canon.min_codes(rows, n)
-    return tuple(sorted({int(c) for c in codes.tolist()}))
+        cols = np.array(_valid_columns(graph_from_bits(k, pbits), lane))
+        new = ((cols[:, None] >> shifts) & 1).astype(np.uint8)
+        blocks.append(np.hstack([np.tile(pbits, (len(cols), 1)), new]))
+    return np.vstack(blocks)
 
 
 @lru_cache(maxsize=None)
 def _level_codes(n: int, lane: tuple[int, bool]) -> tuple[int, ...]:
-    """All lane-surviving graphs on n vertices, connected or not."""
+    """Canonical codes, sorted, of the connected lane-surviving n-vertex graphs.
+
+    Complete because every connected graph has a vertex whose removal
+    leaves it connected (a leaf of a spanning tree), and the graph left
+    keeps girth and bipartiteness: so each graph of the level is a
+    connected parent of the level below plus one nonempty column the lane
+    allows.  The rows are distinct (distinct parents times distinct
+    columns), so they go to the canonizer as they are.
+    """
     if n == 1:
         return (0,)
     rows = _children_rows(_level_codes(n - 1, lane), n, lane)
-    return _dedup_codes(rows, n)
+    return tuple(sorted(set(_canon.min_codes(rows, n).tolist())))
 
 
 def _passes(filt: UniverseFilter, g: Graph) -> bool:
     """Final, non-hereditary part of the filter."""
-    if not is_connected(g):
-        return False
-    if filt.bipartite == "yes" and not is_bipartite(g):
-        return False
     if filt.bipartite == "no" and is_bipartite(g):
         return False
     if filt.min_edges is not None and g.m < filt.min_edges:
         return False
     return True
-
-
-def _finalize(filt: UniverseFilter, rows: np.ndarray) -> tuple[int, ...]:
-    """Filter completed labeled graphs, then canonicalize the survivors."""
-    if len(rows) == 0:
-        return ()
-    rows = np.unique(rows, axis=0)
-    keep = [row for row in rows if _passes(filt, _graph_from_bits(filt.n, row))]
-    if not keep:
-        return ()
-    codes = _canon.min_codes(np.stack(keep), filt.n)
-    return tuple(sorted({int(c) for c in codes.tolist()}))
-
-
-@lru_cache(maxsize=None)
-def _universe_codes(filt: UniverseFilter) -> tuple[int, ...]:
-    if filt.n == 1:
-        return (0,) if _passes(filt, _graph_from_bits(1, ())) else ()
-    lane = _lane(filt)
-    rows = _children_rows(_level_codes(filt.n - 1, lane), filt.n, lane)
-    return _finalize(filt, rows)
 
 
 def enumerate_connected(filt: UniverseFilter):
@@ -186,5 +136,7 @@ def enumerate_connected(filt: UniverseFilter):
     two runs always agree.
     """
     check_scope(filt)
-    for code in _universe_codes(filt):
-        yield graph_from_code(filt.n, code)
+    for code in _level_codes(filt.n, _lane(filt)):
+        g = graph_from_code(filt.n, code)
+        if _passes(filt, g):
+            yield g

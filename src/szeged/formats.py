@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from . import _canon
 from .errors import FormatError, GraphError
-from .graphs import Graph, adjacency_bits, build_graph
+from .graphs import Graph, adjacency_bits, build_graph, graph_from_bits
 
 
 def parse_edgelist(text: str) -> Graph:
@@ -67,8 +67,7 @@ def parse_graph6(data: bytes | str) -> Graph:
         raise FormatError(str(exc)) from None
     if n < 1:
         raise FormatError("graph must have at least one vertex")
-    edges = [pair for pair, bit in zip(_canon.pair_list(n), bits) if bit]
-    return build_graph(n, edges)
+    return graph_from_bits(n, bits)
 
 
 def emit_graph6(g: Graph) -> bytes:

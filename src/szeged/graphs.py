@@ -380,6 +380,11 @@ def adjacency_bits(g: Graph) -> np.ndarray:
     return bits
 
 
+def graph_from_bits(n: int, bits) -> Graph:
+    """Inverse of adjacency_bits: the graph whose column-order pairs are set."""
+    return build_graph(n, [pair for pair, bit in zip(_canon.pair_list(n), bits) if bit])
+
+
 def canonical_form(g: Graph) -> bytes:
     """Smallest adjacency-bit string over all relabelings, as graph6 bytes.
 

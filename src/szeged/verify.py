@@ -17,7 +17,7 @@ from .extremal import (
     is_equality_thm3,
 )
 from .graphs import Graph, apsp, blocks, canonical_form, girth, is_bipartite
-from .invariants import blocks_all_complete, index_report, n0_sum, pi
+from .invariants import blocks_all_complete, index_report, n0_sum, pi, szeged, wiener
 
 THEOREMS = ("thm1", "thm2", "thm3")
 
@@ -182,8 +182,7 @@ def _cycle_pairs_ok(g: Graph, dm) -> bool:
 
 def _block_iff_ok(g: Graph, dm) -> bool:
     """Sz equals W exactly when every block is complete."""
-    r = index_report(g, dm)
-    return blocks_all_complete(g, blocks(g)) == (r.szeged == r.wiener)
+    return blocks_all_complete(g, blocks(g)) == (szeged(g, dm) == wiener(g, dm))
 
 
 def _equidistant_ok(g: Graph, dm) -> bool:

@@ -160,12 +160,79 @@ class TestSoundness:
 
 
 def test_bipartite_lane_keeps_exactly_the_bipartite_partials():
-    # Level partials may be disconnected, which no universe count sees.
+    # Levels hold the connected graphs the lane's pruning lets through;
+    # this checks the pruning itself, before any final filter runs.
     for k in range(1, 8):
         every = enumeration._level_codes(k, (0, False))
         want = tuple(c for c in every
                      if is_bipartite(graph_from_code(k, c)))
         assert enumeration._level_codes(k, (0, True)) == want
+
+
+@pytest.mark.parametrize("lane", [(0, False), (0, True), (4, False), (5, False)])
+def test_children_rows_are_distinct(lane):
+    # Levels are canonized without deduplicating the labeled rows first.
+    for k in range(1, 8):
+        parents = enumeration._level_codes(k, lane)
+        rows = enumeration._children_rows(parents, k + 1, lane)
+        assert len(np.unique(rows, axis=0)) == len(rows)
+
+
+ATLAS_FILTERS = {
+    "any": lambda n: UniverseFilter(n),
+    "bipartite": lambda n: UniverseFilter(n, bipartite="yes"),
+    "nonbipartite": lambda n: UniverseFilter(n, bipartite="no"),
+    "girth4": lambda n: UniverseFilter(n, min_girth=4),
+    "girth5": lambda n: UniverseFilter(n, min_girth=5),
+    "thm1": lambda n: UniverseFilter(n, bipartite="no", min_girth=5),
+    "thm2": lambda n: UniverseFilter(n, bipartite="yes", min_edges=n),
+}
+
+
+def atlas_wanted(nx, h, filt):
+    """filt's membership test, in networkx predicates only."""
+    if h.number_of_nodes() != filt.n or not nx.is_connected(h):
+        return False
+    if filt.bipartite != "any" and nx.is_bipartite(h) != (filt.bipartite == "yes"):
+        return False
+    if filt.min_girth is not None and nx.girth(h) < filt.min_girth:
+        return False
+    return filt.min_edges is None or h.number_of_edges() >= filt.min_edges
+
+
+def wl_buckets(nx, graphs):
+    buckets = {}
+    for h in graphs:
+        buckets.setdefault(nx.weisfeiler_lehman_graph_hash(h), []).append(h)
+    return buckets
+
+
+@pytest.mark.filterwarnings("ignore:The hashes produced")
+@pytest.mark.parametrize("make", ATLAS_FILTERS.values(), ids=ATLAS_FILTERS.keys())
+def test_matches_graph_atlas(make):
+    # An outside referee: networkx's atlas of every graph on at most 7
+    # vertices, selected with networkx predicates only.
+    nx = pytest.importorskip("networkx")
+    atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes()]
+    for n in range(1, 8):
+        filt = make(n)
+        mine = []
+        for g in universe(filt):
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges)
+            mine.append(h)
+        got = wl_buckets(nx, mine)
+        want = wl_buckets(nx, (h for h in atlas if atlas_wanted(nx, h, filt)))
+        assert ({k: len(v) for k, v in got.items()}
+                == {k: len(v) for k, v in want.items()})
+        # The WL hash merges some classes, so match graphs within a bucket.
+        for key, ours in got.items():
+            left = want[key]
+            for h in ours:
+                match = [i for i, a in enumerate(left) if nx.is_isomorphic(h, a)]
+                assert match, f"n={n}: no atlas graph matches {sorted(h.edges)}"
+                left.pop(match[0])
 
 
 class TestScopeCaps:
