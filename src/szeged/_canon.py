@@ -23,6 +23,9 @@ MAX_TABLE_N = 8
 # Codes are sums of distinct powers of two below 2^m, exact in float64 only
 # while m fits its 53-bit significand.
 MAX_EXACT_BITS = 53
+# Largest n of graph6's four-byte vertex count; beyond it the eight-byte
+# form would be needed.
+GRAPH6_MAX_N = 258047
 
 
 def num_pairs(n: int) -> int:
@@ -42,12 +45,37 @@ def pair_list(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for j in range(n) for i in range(j))
 
 
-def _source_table(perms: np.ndarray, n: int) -> np.ndarray:
-    """For each permutation row, the source bit index feeding each target bit."""
-    pairs = np.array(pair_list(n), dtype=np.int64).reshape(-1, 2)
-    idx = np.zeros((n, n), dtype=np.int64)
-    idx[pairs[:, 0], pairs[:, 1]] = idx[pairs[:, 1], pairs[:, 0]] = np.arange(len(pairs))
-    return idx[perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]]
+def _pair_slots(images: np.ndarray, n: int) -> np.ndarray:
+    """Slot of the pair {images[i], images[j]} for each column-order pair (i, j).
+
+    images is (n, P) int8, one vertex map per column; the result is (m, P)
+    int16, the slot of {hi, lo} (hi > lo) being hi*(hi-1)//2 + lo.
+    """
+    pairs = np.array(pair_list(n), dtype=np.intp).reshape(-1, 2)
+    a, b = images[pairs[:, 0]], images[pairs[:, 1]]
+    slot = np.maximum(a, b, dtype=np.int16)
+    np.minimum(a, b, out=a)
+    slot *= slot - 1
+    slot //= 2
+    slot += a
+    return slot
+
+
+def _permutations(k: int) -> np.ndarray:
+    """All k! permutations of range(k) as the columns of a (k, k!) int8 array.
+
+    Built by insertion: each permutation of range(j) yields j + 1 of
+    range(j + 1), one per position the new value j can take.
+    """
+    perms = np.zeros((min(k, 1), 1), dtype=np.int8)
+    for j in range(1, k):
+        grown = np.empty((j + 1, j + 1, perms.shape[1]), dtype=np.int8)
+        for pos in range(j + 1):
+            grown[:pos, pos] = perms[:pos]
+            grown[pos, pos] = j
+            grown[pos + 1:, pos] = perms[pos:]
+        perms = grown.reshape(j + 1, -1)
+    return perms
 
 
 @lru_cache(maxsize=None)
@@ -59,26 +87,29 @@ def _weights(n: int) -> np.ndarray:
     holds every such relabeled code of every row.
     """
     k = max(0, n - MAX_TABLE_N)
-    tails = list(itertools.permutations(range(k, n)))
-    perms = np.array([tuple(range(k)) + t for t in tails],
-                     dtype=np.int64).reshape(len(tails), n)
-    src = _source_table(perms, n)
+    tails = _permutations(n - k)
+    images = np.empty((n, tails.shape[1]), dtype=np.int8)
+    images[:k] = np.arange(k)[:, None]
+    np.add(tails, k, out=images[k:])
     m = num_pairs(n)
-    wt = np.zeros((m, len(perms)))
-    wt[src, np.arange(len(perms))[:, None]] = 2.0 ** np.arange(m - 1, -1, -1)
-    return wt
+    return (2.0 ** np.arange(m - 1, -1, -1))[_pair_slots(images, n)]
 
 
 def _block_sources(n: int):
     """One relabeling per block: the first n - MAX_TABLE_N images fixed.
 
-    Composing each with the permutations of _weights(n) yields every one of
-    the n! relabelings exactly once.
+    Each is the source slot feeding every target slot.  Composing it with
+    the permutations of _weights(n) yields every one of the n! relabelings
+    exactly once.  Up to MAX_TABLE_N the table alone covers them all, and
+    the one block is the rows as they are.
     """
-    k = max(0, n - MAX_TABLE_N)
+    k = n - MAX_TABLE_N
+    if k <= 0:
+        yield slice(None)
+        return
     for head in itertools.permutations(range(n), k):
         rest = tuple(v for v in range(n) if v not in head)
-        yield _source_table(np.array([head + rest], dtype=np.int64), n)[0]
+        yield _pair_slots(np.array(head + rest, dtype=np.int8)[:, None], n)[:, 0]
 
 
 def unpack_code(code: int, n: int) -> np.ndarray:
@@ -113,47 +144,48 @@ def min_codes(bits: np.ndarray, n: int, batch_limit: int = 2**24) -> np.ndarray:
 
 
 def graph6_bytes_from_bits(n: int, bits: np.ndarray) -> bytes:
-    """graph6 encoding of a labeled graph given as a column-order bit row."""
-    if not 0 <= n <= 62:
-        raise ValueError("graph6 output supported for 0 <= n <= 62 only")
-    out = [n + 63]
+    """graph6 encoding of a labeled graph given as a column-order bit row.
+
+    n <= 62 takes one header byte, n up to GRAPH6_MAX_N the long form:
+    '~' and n in three 6-bit bytes.
+    """
+    if not 0 <= n <= GRAPH6_MAX_N:
+        raise ValueError(f"graph6 output supported for 0 <= n <= {GRAPH6_MAX_N} only")
+    head = [n] if n <= 62 else [63, n >> 12, (n >> 6) & 63, n & 63]
     row = np.asarray(bits, dtype=np.uint8)
-    for start in range(0, len(row), 6):
-        chunk = row[start:start + 6]
-        value = 0
-        for k in range(6):
-            value = (value << 1) | (int(chunk[k]) if k < len(chunk) else 0)
-        out.append(value + 63)
-    return bytes(out)
+    six = np.concatenate([row, np.zeros(-len(row) % 6, np.uint8)]).reshape(-1, 6)
+    body = six @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
+    return (np.array(head, dtype=np.uint8) + 63).tobytes() + (body + 63).tobytes()
 
 
 def bits_from_graph6_bytes(data: bytes) -> tuple[int, np.ndarray]:
     """Decode a graph6 byte string to (n, column-order bit row).
 
-    Raises ValueError on bad length, out-of-range bytes, or nonzero padding.
+    Raises ValueError on bad length, out-of-range bytes, nonzero padding,
+    or a vertex count outside 0..GRAPH6_MAX_N in its shortest form.
     """
     if data.startswith(b">>graph6<<"):
         data = data[len(b">>graph6<<"):]
     if not data:
         raise ValueError("empty graph6 string")
-    n = data[0] - 63
-    if not 0 <= n <= 62:
-        raise ValueError("unsupported graph6 vertex count byte")
+    values = np.frombuffer(data, dtype=np.uint8).astype(np.int16) - 63
+    if ((values < 0) | (values > 63)).any():
+        raise ValueError("graph6 byte out of range")
+    if values[0] < 63:
+        n, body = int(values[0]), values[1:]
+    elif len(values) < 4:
+        raise ValueError("truncated graph6 vertex count")
+    elif values[1] == 63:
+        raise ValueError(f"graph6 input supported for n <= {GRAPH6_MAX_N} only")
+    else:
+        n = (int(values[1]) << 12) | (int(values[2]) << 6) | int(values[3])
+        if n <= 62:
+            raise ValueError("graph6 long form used for n <= 62")
+        body = values[4:]
     m = num_pairs(n)
-    body = data[1:]
     if len(body) != (m + 5) // 6:
         raise ValueError("graph6 body has wrong length")
-    bits = np.zeros(m, dtype=np.uint8)
-    pos = 0
-    for byte in body:
-        value = byte - 63
-        if not 0 <= value < 64:
-            raise ValueError("graph6 byte out of range")
-        for k in range(5, -1, -1):
-            bit = (value >> k) & 1
-            if pos < m:
-                bits[pos] = bit
-            elif bit:
-                raise ValueError("nonzero graph6 padding bits")
-            pos += 1
-    return n, bits
+    bits = ((body[:, None] >> np.arange(5, -1, -1)) & 1).astype(np.uint8).ravel()
+    if bits[m:].any():
+        raise ValueError("nonzero graph6 padding bits")
+    return n, bits[:m]

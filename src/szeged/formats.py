@@ -73,10 +73,8 @@ def parse_graph6(data: bytes | str) -> Graph:
 def emit_graph6(g: Graph) -> bytes:
     """graph6 encoding of g in its current labeling.
 
-    Only the short form exists here, so FormatError beyond n = 62.
+    FormatError beyond n = GRAPH6_MAX_N, before any bits are built.
     """
-    bits = adjacency_bits(g)
-    try:
-        return _canon.graph6_bytes_from_bits(g.n, bits)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    if g.n > _canon.GRAPH6_MAX_N:
+        raise FormatError(f"graph6 output supported for n <= {_canon.GRAPH6_MAX_N} only")
+    return _canon.graph6_bytes_from_bits(g.n, adjacency_bits(g))

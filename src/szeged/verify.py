@@ -49,6 +49,15 @@ def _gap(which: str, g: Graph) -> int:
     return r.gap_rsz_x4 if which == "thm3" else r.gap_sz
 
 
+def _name(g: Graph) -> str:
+    """graph6 name of a graph a report lists.
+
+    Enumerated graphs come in canonical labeling already; only the few a
+    report lists are named, so the universe is not canonized twice.
+    """
+    return canonical_form(g).decode("ascii")
+
+
 def _predicate(which: str, g: Graph) -> bool:
     return {"thm1": is_equality_thm1,
             "thm2": is_equality_thm2,
@@ -105,15 +114,14 @@ def verify_theorem(which: str, n: int) -> VerificationReport:
     for g in enumerate_connected(universe_filter(which, n)):
         size += 1
         gap = _gap(which, g)
-        name = canonical_form(g).decode("ascii")
         if min_gap is None or gap < min_gap:
             min_gap = gap
         if gap < bound.numerator:
-            counterexamples.append(name)
+            counterexamples.append(_name(g))
         elif gap == bound.numerator:
-            achievers.append(name)
+            achievers.append(_name(g))
         if _predicate(which, g) != (gap == bound.numerator):
-            mismatches.append(name)
+            mismatches.append(_name(g))
     elapsed = int((time.perf_counter() - t0) * 1000)
     return VerificationReport(
         theorem=which,
@@ -208,13 +216,12 @@ def verify_lemmas(n: int) -> LemmaReport:
     for g in enumerate_connected(UniverseFilter(n)):
         size += 1
         dm = apsp(g)
-        name = canonical_form(g).decode("ascii")
         if not _cycle_pairs_ok(g, dm):
-            cycle_bad.append(name)
+            cycle_bad.append(_name(g))
         if not _block_iff_ok(g, dm):
-            block_bad.append(name)
+            block_bad.append(_name(g))
         if not _equidistant_ok(g, dm):
-            equi_bad.append(name)
+            equi_bad.append(_name(g))
     elapsed = int((time.perf_counter() - t0) * 1000)
     return LemmaReport(
         n=n,

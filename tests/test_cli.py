@@ -13,6 +13,7 @@ from szeged import (
     VerificationReport,
     cycle_graph,
     emit_edgelist,
+    parse_graph6,
     path_graph,
 )
 from szeged.cli import main
@@ -156,6 +157,15 @@ class TestConstruct:
                             "--format", "graph6"])
         assert code == 0 and out == "Dhc\n"
 
+    def test_graph6_long_form_output(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, monkeypatch,
+                           ["construct", "--family", "cycle-tree",
+                            "--cycle", "4", "--tree", "97", "--seed", "1",
+                            "--format", "graph6"])
+        assert code == 0
+        g = parse_graph6(out.strip())
+        assert (g.n, g.m) == (100, 100)
+
 
 class TestVerify:
     def test_json_range(self, capsys, monkeypatch):
@@ -254,6 +264,17 @@ class TestConvert:
                            stdin="Dhc?\n")
         assert code == 3 and "error:" in err
 
+    def test_long_form_round_trip(self, capsys, monkeypatch):
+        text = emit_edgelist(path_graph(100))
+        code, mid, _ = run(capsys, monkeypatch,
+                           ["convert", "--from", "edgelist", "--to", "graph6"],
+                           stdin=text)
+        assert code == 0 and mid.startswith("~?@c")
+        code, out, _ = run(capsys, monkeypatch,
+                           ["convert", "--from", "graph6", "--to", "edgelist"],
+                           stdin=mid)
+        assert code == 0 and out == text
+
 
 class TestArgparseFailures:
     @pytest.mark.parametrize("argv", [
@@ -277,8 +298,8 @@ class TestExitCodes:
         (["lemmas", "--n", "-3"], None, 2),
         (["verify", "--theorem", "thm3", "--n", "4",
           "--out", "/nonexistent/x"], None, 2),
-        (["convert", "--from", "edgelist", "--to", "graph6"],
-         emit_edgelist(path_graph(100)), 3),
+        # "~~" starts the eight-byte vertex count, n = 258048 here.
+        (["convert", "--from", "graph6", "--to", "edgelist"], "~~???~??\n", 3),
     ], ids=["lemmas-zero", "lemmas-negative", "verify-unwritable-out",
             "convert-graph6-too-long"])
     def test_exit_code(self, capsys, monkeypatch, argv, stdin, want):

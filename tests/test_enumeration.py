@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 
@@ -313,3 +314,37 @@ class TestMinCodes:
         with pytest.raises(ValueError):
             _canon.min_codes(np.zeros((1, _canon.num_pairs(11)), np.uint8), 11)
         assert time.perf_counter() - t0 < 1
+
+
+def naive_weight_columns(n):
+    """Columns of the weight table, one per relabeling, built pair by pair."""
+    m = _canon.num_pairs(n)
+    pairs = _canon.pair_list(n)
+    return {tuple(2.0 ** (m - 1 - _canon.pair_index(perm[i], perm[j]))
+                  for i, j in pairs)
+            for perm in itertools.permutations(range(n))}
+
+
+class TestWeightTable:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_columns_are_all_relabelings(self, n):
+        wt = _canon._weights(n)
+        m = _canon.num_pairs(n)
+        assert wt.shape == (m, math.factorial(n))
+        assert set(map(tuple, wt.T.tolist())) == naive_weight_columns(n)
+        # Exactness: each column holds m distinct powers of two.
+        assert (np.sort(wt, axis=0) == 2.0 ** np.arange(m)[:, None]).all()
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_block_tables_fix_the_leading_vertices(self, n):
+        wt = _canon._weights(n)
+        m = _canon.num_pairs(n)
+        assert wt.shape == (m, math.factorial(8))
+        assert (np.sort(wt, axis=0) == 2.0 ** np.arange(m)[:, None]).all()
+        assert len(set(map(tuple, wt.T.tolist()))) == wt.shape[1]
+        pairs = np.array(_canon.pair_list(n))
+        targets = (m - 1 - np.log2(wt)).astype(np.intp)  # entry 2^(m-1-t)
+        for v in range(n - 8):
+            # v is fixed iff every pair at v lands on a pair at v.
+            at_v = (pairs == v).any(axis=1)
+            assert (pairs[targets[at_v]] == v).any(axis=-1).all()

@@ -98,10 +98,30 @@ class TestGraph6:
         "Dh\x7f",       # byte above printable range
         "A@",           # nonzero padding bits for n = 2
         "?",            # n = 0
+        "~??",          # truncated long-form vertex count
+        "~??}",         # long form for n = 62
+        "~~???~??",     # eight-byte vertex count, n = 258048
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(FormatError):
             parse_graph6(text)
+
+    @pytest.mark.parametrize("n", [63, 100])
+    def test_long_form_matches_networkx(self, n):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(n)
+        edges = [p for p in oracles.pairs_rowmajor(n) if rng.random() < 0.1]
+        ref = nx.Graph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(edges)
+        want = nx.to_graph6_bytes(ref, header=False).strip()
+        g = build_graph(n, edges)
+        assert emit_graph6(g) == want
+        assert parse_graph6(want) == g
+
+    def test_beyond_long_form_rejected(self):
+        with pytest.raises(FormatError):
+            emit_graph6(build_graph(258048, []))
 
     def test_cross_format_agreement(self):
         rng = random.Random(13)

@@ -7,16 +7,20 @@ import json
 
 import pytest
 
+import oracles
+import szeged.verify as verify_module
 from szeged import (
     BoundValue,
     HypothesisViolated,
     TreeSpec,
     UniverseFilter,
     VerificationReport,
+    build_graph,
     c5_two_trees,
     canonical_form,
     cycle_graph,
     cycle_with_tree,
+    parse_graph6,
     universe_filter,
     verify_lemmas,
     verify_theorem,
@@ -174,3 +178,31 @@ class TestLemmas:
             "block_iff_violations", "equidistant_violations", "elapsed_ms",
         ]
         json.dumps(d)
+
+
+class TestNaming:
+    """Reports name listed graphs by canonical graph6, and only those."""
+
+    def test_every_lemma_violation_is_named(self, monkeypatch):
+        for check in ("_cycle_pairs_ok", "_block_iff_ok", "_equidistant_ok"):
+            monkeypatch.setattr(verify_module, check, lambda g, dm: False)
+        r = verify_lemmas(5)
+        want = sorted(canonical_form(build_graph(5, edges)).decode("ascii")
+                      for edges in oracles.graph_classes(5)
+                      if oracles.connected_uf(5, edges))
+        assert len(want) == 21
+        assert list(r.cycle_pair_violations) == want
+        assert list(r.block_iff_violations) == want
+        assert list(r.equidistant_violations) == want
+
+    @pytest.mark.parametrize("which,n", [("thm1", 6), ("thm1", 7), ("thm2", 5),
+                                         ("thm2", 6), ("thm3", 5), ("thm3", 6)])
+    def test_theorem_names_are_canonical(self, monkeypatch, which, n):
+        # A predicate that always says "achiever" lists every other graph
+        # as a mismatch, so both naming paths are exercised.
+        monkeypatch.setattr(verify_module, "_predicate", lambda w, g: True)
+        r = verify_theorem(which, n)
+        names = r.achievers + r.predicate_mismatches
+        assert len(names) == r.universe_size
+        for name in names:
+            assert canonical_form(parse_graph6(name)).decode("ascii") == name
