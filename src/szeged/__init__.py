@@ -22,6 +22,7 @@ from .errors import (
     VertexOutOfRange,
 )
 from .extremal import (
+    THEOREMS,
     BoundValue,
     TreeSpec,
     bound_thm1,
@@ -32,6 +33,7 @@ from .extremal import (
     is_equality_thm1,
     is_equality_thm2,
     is_equality_thm3,
+    universe_filter,
 )
 from .formats import emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
 from .graphs import (
@@ -71,10 +73,8 @@ from .invariants import (
     wiener,
 )
 from .verify import (
-    THEOREMS,
     LemmaReport,
     VerificationReport,
-    universe_filter,
     verify_lemmas,
     verify_theorem,
 )

@@ -23,6 +23,7 @@ MAX_TABLE_N = 8
 # Codes are sums of distinct powers of two below 2^m, exact in float64 only
 # while m fits its 53-bit significand.
 MAX_EXACT_BITS = 53
+_BATCH_BYTES = 2**24  # float64 codes one (rows, permutations) product may hold
 # Largest n of graph6's four-byte vertex count; beyond it the eight-byte
 # form would be needed.
 GRAPH6_MAX_N = 258047
@@ -118,12 +119,12 @@ def unpack_code(code: int, n: int) -> np.ndarray:
     return ((int(code) >> np.arange(m - 1, -1, -1)) & 1).astype(np.uint8)
 
 
-def min_codes(bits: np.ndarray, n: int, batch_limit: int = 2**24) -> np.ndarray:
+def min_codes(bits: np.ndarray, n: int) -> np.ndarray:
     """Canonical (minimal) code of each bit row under all vertex relabelings.
 
     bits has shape (B, C(n,2)); the returned int64 array has shape (B,).
     Rows are chunked so that no (rows, permutations) product exceeds roughly
-    batch_limit bytes.
+    _BATCH_BYTES.
     """
     bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
     b, m = bits.shape
@@ -132,7 +133,7 @@ def min_codes(bits: np.ndarray, n: int, batch_limit: int = 2**24) -> np.ndarray:
     if m > MAX_EXACT_BITS:
         raise ValueError(f"codes of {m} bits are not exact in float64 (n={n})")
     wt = _weights(n)
-    rows_per_pass = max(1, batch_limit // (wt.shape[1] * 8))
+    rows_per_pass = max(1, _BATCH_BYTES // (wt.shape[1] * 8))
     best = np.full(b, np.inf)
     for src in _block_sources(n):
         for start in range(0, b, rows_per_pass):

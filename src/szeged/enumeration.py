@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _canon
 from .errors import TooLarge
-from .graphs import Graph, apsp, graph_from_bits, is_bipartite
+from .graphs import Graph, apsp, girth, graph_from_bits, is_bipartite, is_connected
 
 MAX_N = 8
 MAX_N_PRUNED = 9  # girth-pruned lanes stay tiny one level further
@@ -47,6 +47,18 @@ class UniverseFilter:
             raise ValueError(f"bipartite must be one of {BIPARTITE_CHOICES}")
         if self.min_girth is not None and self.min_girth < 3:
             raise ValueError("min_girth below 3 is meaningless")
+
+    def admits(self, g: Graph) -> bool:
+        """Whether g, in any labeling, belongs to this universe."""
+        if g.n != self.n or not is_connected(g):
+            return False
+        if self.bipartite == "yes" and not is_bipartite(g):
+            return False
+        if self.min_girth is not None:
+            length = girth(g).length
+            if length is not None and length < self.min_girth:
+                return False
+        return _passes(self, g)
 
 
 def _lane(filt: UniverseFilter) -> tuple[int, bool]:

@@ -4,16 +4,20 @@ The bound here for a graph on n vertices:
   gap_sz >= 2n - 5        (connected nonbipartite, girth >= 5, n >= 5)
   gap_sz >= 4n - 8        (connected bipartite, m >= n, n >= 4)
   gap_rsz_x4 >= n^2+4n-6  (connected nonbipartite, n >= 4)
-with equality exactly on cycle-plus-tree families built below.
+with equality exactly on cycle-plus-tree families built below.  Each
+result is one row of _THEOREMS; its universe filter, bound and equality
+predicate are all read from that row.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
+from .enumeration import UniverseFilter
 from .errors import GraphError, HypothesisViolated, InvalidTreeSpec
-from .graphs import Graph, build_graph, girth, is_bipartite, is_connected
+from .graphs import Graph, build_graph, girth
 
 
 @dataclass(frozen=True)
@@ -99,38 +103,80 @@ class BoundValue:
     denominator: int
 
 
+class _Theorem(NamedTuple):
+    """One result: hypotheses, bound, and the family attaining it."""
+
+    min_n: int
+    bipartite: str  # "yes" or "no", as in UniverseFilter
+    min_girth: int | None
+    edges_at_least_n: bool  # min_edges = n
+    numerator: Callable[[int], int]
+    denominator: int
+    cycle: int  # the one cycle of every equality graph
+    two_adjacent: bool  # trees may hang at two adjacent cycle vertices
+
+
+_THEOREMS = {
+    "thm1": _Theorem(5, "no", 5, False, lambda n: 2 * n - 5, 1, 5, True),
+    "thm2": _Theorem(4, "yes", None, True, lambda n: 4 * n - 8, 1, 4, False),
+    "thm3": _Theorem(4, "no", None, False, lambda n: n * n + 4 * n - 6, 4, 3, False),
+}
+THEOREMS = tuple(_THEOREMS)
+
+
+def universe_filter(which: str, n: int) -> UniverseFilter:
+    """The enumeration universe matching one theorem's hypotheses."""
+    t = _THEOREMS.get(which)
+    if t is None:
+        raise ValueError(f"unknown theorem {which!r}, expected one of {THEOREMS}")
+    if n < t.min_n:
+        raise HypothesisViolated(f"{which} needs n >= {t.min_n}, got {n}")
+    return UniverseFilter(n, bipartite=t.bipartite, min_girth=t.min_girth,
+                          min_edges=n if t.edges_at_least_n else None)
+
+
+def theorem_bound(which: str, n: int) -> BoundValue:
+    """One theorem's bound at n; HypothesisViolated below its minimum n."""
+    universe_filter(which, n)
+    t = _THEOREMS[which]
+    return BoundValue(t.numerator(n), t.denominator)
+
+
 def bound_thm1(n: int) -> BoundValue:
     """2n - 5 for n >= 5."""
-    if n < 5:
-        raise HypothesisViolated(f"bound needs n >= 5, got {n}")
-    return BoundValue(2 * n - 5, 1)
+    return theorem_bound("thm1", n)
 
 
 def bound_thm2(n: int) -> BoundValue:
     """4n - 8 for n >= 4."""
-    if n < 4:
-        raise HypothesisViolated(f"bound needs n >= 4, got {n}")
-    return BoundValue(4 * n - 8, 1)
+    return theorem_bound("thm2", n)
 
 
 def bound_thm3(n: int) -> BoundValue:
     """(n^2 + 4n - 6)/4 for n >= 4."""
-    if n < 4:
-        raise HypothesisViolated(f"bound needs n >= 4, got {n}")
-    return BoundValue(n * n + 4 * n - 6, 4)
+    return theorem_bound("thm3", n)
 
 
-def _unicyclic_attachments(g: Graph) -> tuple[int, list[int]] | None:
-    """(cycle length, cycle vertices of degree > 2) for unicyclic g, else None.
+def _is_equality(which: str, g: Graph) -> bool:
+    """Whether g is in the theorem's equality family.
 
-    Assumes g connected; connected with m = n means exactly one cycle, and
-    every tree hangs off a cycle vertex of degree above 2.
+    Raises HypothesisViolated unless g lies in the theorem's universe.
+    Every family member is unicyclic (connected with m = n) with the row's
+    cycle length, and its trees hang at one cycle vertex, or at two
+    adjacent ones where the row allows it.
     """
+    filt = universe_filter(which, g.n)
+    if not filt.admits(g):
+        raise HypothesisViolated(f"{which} needs a graph in {filt}")
     if g.m != g.n:
-        return None
+        return False
+    t = _THEOREMS[which]
     cycle = girth(g).witness
+    if len(cycle) != t.cycle:
+        return False
     attach = [v for v in cycle if g.degree(v) > 2]
-    return len(cycle), attach
+    return len(attach) <= 1 or (t.two_adjacent and len(attach) == 2
+                                and g.has_edge(*attach))
 
 
 def is_equality_thm1(g: Graph) -> bool:
@@ -138,26 +184,7 @@ def is_equality_thm1(g: Graph) -> bool:
 
     Requires g connected, nonbipartite, girth >= 5, n >= 5.
     """
-    if g.n < 5:
-        raise HypothesisViolated(f"need n >= 5, got {g.n}")
-    if not is_connected(g):
-        raise HypothesisViolated("need a connected graph")
-    if is_bipartite(g):
-        raise HypothesisViolated("need a nonbipartite graph")
-    ginfo = girth(g)
-    if ginfo.length is not None and ginfo.length < 5:
-        raise HypothesisViolated(f"need girth >= 5, got {ginfo.length}")
-    shape = _unicyclic_attachments(g)
-    if shape is None:
-        return False
-    length, attach = shape
-    if length != 5:
-        return False
-    if len(attach) <= 1:
-        return True
-    if len(attach) == 2:
-        return g.has_edge(attach[0], attach[1])
-    return False
+    return _is_equality("thm1", g)
 
 
 def is_equality_thm2(g: Graph) -> bool:
@@ -165,19 +192,7 @@ def is_equality_thm2(g: Graph) -> bool:
 
     Requires g connected, bipartite, n >= 4, m >= n.
     """
-    if g.n < 4:
-        raise HypothesisViolated(f"need n >= 4, got {g.n}")
-    if not is_connected(g):
-        raise HypothesisViolated("need a connected graph")
-    if not is_bipartite(g):
-        raise HypothesisViolated("need a bipartite graph")
-    if g.m < g.n:
-        raise HypothesisViolated(f"need m >= n, got m = {g.m} < n = {g.n}")
-    shape = _unicyclic_attachments(g)
-    if shape is None:
-        return False
-    length, attach = shape
-    return length == 4 and len(attach) <= 1
+    return _is_equality("thm2", g)
 
 
 def is_equality_thm3(g: Graph) -> bool:
@@ -185,14 +200,4 @@ def is_equality_thm3(g: Graph) -> bool:
 
     Requires g connected, nonbipartite, n >= 4.
     """
-    if g.n < 4:
-        raise HypothesisViolated(f"need n >= 4, got {g.n}")
-    if not is_connected(g):
-        raise HypothesisViolated("need a connected graph")
-    if is_bipartite(g):
-        raise HypothesisViolated("need a nonbipartite graph")
-    shape = _unicyclic_attachments(g)
-    if shape is None:
-        return False
-    length, attach = shape
-    return length == 3 and len(attach) <= 1
+    return _is_equality("thm3", g)

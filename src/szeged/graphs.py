@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from . import _canon
@@ -22,31 +24,28 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     Immutable after construction.  adj holds sorted neighbor tuples, which
-    every traversal walks; masks holds the same rows as integer bitmasks
-    and backs only has_edge.
+    every traversal walks and has_edge bisects.
     """
 
-    __slots__ = ("n", "m", "edges", "adj", "masks")
+    __slots__ = ("n", "m", "edges", "adj")
 
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
         self.n = n
         self.m = len(edges)
         self.edges = edges
         neighbors: list[list[int]] = [[] for _ in range(n)]
-        masks = [0] * n
         for u, v in edges:
             neighbors[u].append(v)
             neighbors[v].append(u)
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
         self.adj = tuple(tuple(sorted(row)) for row in neighbors)
-        self.masks = tuple(masks)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and (self.masks[u] >> v) & 1 == 1
+        row = self.adj[u] if 0 <= u < self.n else ()
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

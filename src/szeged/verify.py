@@ -6,47 +6,23 @@ import time
 from dataclasses import dataclass
 
 from .enumeration import UniverseFilter, enumerate_connected
-from .errors import HypothesisViolated
-from .extremal import (
+from .extremal import (  # THEOREMS and universe_filter stay importable here
+    THEOREMS,
     BoundValue,
-    bound_thm1,
-    bound_thm2,
-    bound_thm3,
     is_equality_thm1,
     is_equality_thm2,
     is_equality_thm3,
+    theorem_bound,
+    universe_filter,
 )
 from .graphs import Graph, apsp, blocks, canonical_form, girth, is_bipartite
 from .invariants import blocks_all_complete, index_report, n0_sum, pi, szeged, wiener
 
-THEOREMS = ("thm1", "thm2", "thm3")
 
-
-def universe_filter(which: str, n: int) -> UniverseFilter:
-    """The enumeration universe matching one theorem's hypotheses."""
-    if which == "thm1":
-        if n < 5:
-            raise HypothesisViolated(f"thm1 needs n >= 5, got {n}")
-        return UniverseFilter(n, bipartite="no", min_girth=5)
-    if which == "thm2":
-        if n < 4:
-            raise HypothesisViolated(f"thm2 needs n >= 4, got {n}")
-        return UniverseFilter(n, bipartite="yes", min_edges=n)
-    if which == "thm3":
-        if n < 4:
-            raise HypothesisViolated(f"thm3 needs n >= 4, got {n}")
-        return UniverseFilter(n, bipartite="no")
-    raise ValueError(f"unknown theorem {which!r}, expected one of {THEOREMS}")
-
-
-def _bound(which: str, n: int) -> BoundValue:
-    return {"thm1": bound_thm1, "thm2": bound_thm2, "thm3": bound_thm3}[which](n)
-
-
-def _gap(which: str, g: Graph) -> int:
+def _gap(bound: BoundValue, g: Graph) -> int:
     """Measured gap on the bound's own scale (x4 for the revised index)."""
     r = index_report(g)
-    return r.gap_rsz_x4 if which == "thm3" else r.gap_sz
+    return r.gap_rsz_x4 if bound.denominator == 4 else r.gap_sz
 
 
 def _name(g: Graph) -> str:
@@ -105,7 +81,7 @@ def verify_theorem(which: str, n: int) -> VerificationReport:
     directions.
     """
     t0 = time.perf_counter()
-    bound = _bound(which, n)
+    bound = theorem_bound(which, n)
     min_gap: int | None = None
     achievers = []
     counterexamples = []
@@ -113,7 +89,7 @@ def verify_theorem(which: str, n: int) -> VerificationReport:
     size = 0
     for g in enumerate_connected(universe_filter(which, n)):
         size += 1
-        gap = _gap(which, g)
+        gap = _gap(bound, g)
         if min_gap is None or gap < min_gap:
             min_gap = gap
         if gap < bound.numerator:

@@ -289,9 +289,12 @@ class TestMinCodes:
         assert [int(c) for c in got] == [naive_min_code(r, n) for r in rows]
 
     def test_row_chunking_does_not_change_codes(self):
-        rows = random_rows(random.Random(7), 50, 7)
-        assert (_canon.min_codes(rows, 7, batch_limit=1)
-                == _canon.min_codes(rows, 7)).all()
+        # 1,200 rows span several passes at n = 7 (416 rows each).
+        rows = random_rows(random.Random(7), 1200, 7)
+        per_pass = _canon._BATCH_BYTES // (math.factorial(7) * 8)
+        assert len(rows) > 2 * per_pass
+        batch = _canon.min_codes(rows, 7)
+        assert batch.tolist() == [int(_canon.min_codes(r, 7)[0]) for r in rows]
 
     def test_block_sweep_beyond_table_size(self):
         nx = pytest.importorskip("networkx")

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from szeged import (
+    THEOREMS,
     GraphError,
     HypothesisViolated,
     InvalidTreeSpec,
@@ -26,6 +27,7 @@ from szeged import (
     is_equality_thm2,
     is_equality_thm3,
     path_graph,
+    universe_filter,
 )
 
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
@@ -249,3 +251,39 @@ class TestPredicateMatchesGapOnSmallUniverses:
         for g in enumerate_connected(filt):
             r = index_report(g)
             assert is_equality_thm3(g) == (r.gap_rsz_x4 == 54)
+
+
+PREDICATES = {"thm1": is_equality_thm1, "thm2": is_equality_thm2,
+              "thm3": is_equality_thm3}
+
+
+class TestOneStatementOfTheHypotheses:
+    """The universe verify sweeps is exactly the predicates' domain."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_admits_universe_and_predicate_domain_agree(self, n):
+        graphs = list(enumerate_connected(UniverseFilter(n)))
+        for which in THEOREMS:
+            try:
+                filt = universe_filter(which, n)
+            except HypothesisViolated:
+                for g in graphs:
+                    with pytest.raises(HypothesisViolated):
+                        PREDICATES[which](g)
+                continue
+            universe = set(enumerate_connected(filt))
+            for g in graphs:
+                try:
+                    PREDICATES[which](g)
+                    in_domain = True
+                except HypothesisViolated:
+                    in_domain = False
+                assert filt.admits(g) == (g in universe) == in_domain
+
+    def test_admits_rejects_wrong_n_and_disconnected(self):
+        c5_plus_vertex = build_graph(6, C5_EDGES)
+        assert UniverseFilter(5).admits(cycle_graph(5))
+        assert not UniverseFilter(6).admits(cycle_graph(5))
+        assert not UniverseFilter(6).admits(c5_plus_vertex)
+        assert not universe_filter("thm1", 6).admits(c5_plus_vertex)
+        assert not universe_filter("thm1", 6).admits(cycle_graph(5))

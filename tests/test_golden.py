@@ -1,0 +1,41 @@
+"""Reports are pinned: every field but elapsed_ms must match the stored files.
+
+tests/golden/theorems.json holds verify_theorem(...).to_dict() for thm1
+n = 5..8, thm2 n = 4..8 and thm3 n = 4..7; tests/golden/lemmas.json holds
+verify_lemmas(n).to_dict() for n = 1..7; elapsed_ms is dropped from both.
+A change that means to alter a report rewrites these files and says why.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from szeged import verify_lemmas, verify_theorem
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _load(name):
+    with open(GOLDEN / name, encoding="ascii") as f:
+        return json.load(f)
+
+
+def _without_elapsed(report):
+    d = report.to_dict()
+    del d["elapsed_ms"]
+    return d
+
+
+@pytest.mark.parametrize("want", _load("theorems.json"),
+                         ids=lambda d: f"{d['theorem']}-n{d['n']}")
+def test_theorem_report(want):
+    assert _without_elapsed(verify_theorem(want["theorem"], want["n"])) == want
+
+
+@pytest.mark.parametrize("want", _load("lemmas.json"),
+                         ids=lambda d: f"lemmas-n{d['n']}")
+def test_lemma_report(want):
+    assert _without_elapsed(verify_lemmas(want["n"])) == want

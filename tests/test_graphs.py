@@ -74,6 +74,17 @@ class TestBuildGraph:
         assert g.adj[3] == (0,)
         assert g.degree(0) == 3 and g.has_edge(2, 1)
 
+    def test_has_edge_matches_edge_set(self):
+        g = build_graph(4, PAW)
+        for u, v in itertools.product(range(4), repeat=2):
+            assert g.has_edge(u, v) == (tuple(sorted((u, v))) in g.edges)
+
+    @pytest.mark.parametrize("u,v", [(-1, 0), (0, -1), (-1, 4), (5, 0),
+                                     (0, 5), (5, 5), (-5, -5)])
+    def test_has_edge_out_of_range_is_false(self, u, v):
+        # C5: -1 must not wrap around to vertex 4, which is adjacent to 0.
+        assert not cycle_graph(5).has_edge(u, v)
+
 
 class TestApsp:
     def test_path(self):

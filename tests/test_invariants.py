@@ -28,6 +28,7 @@ from szeged import (
     n0_sum,
     path_graph,
     pi,
+    relabel,
     revised_szeged_x4,
     szeged,
     szeged_via_mu,
@@ -98,6 +99,15 @@ class TestEdgePartition:
         g = cycle_graph(5)
         with pytest.raises(NotAnEdge):
             edge_partition(g, apsp(g), (0, 2))
+
+    @pytest.mark.parametrize("e", [(-1, 0), (0, -1), (0, 5), (5, 4)])
+    def test_out_of_range_endpoint_is_not_an_edge(self, e):
+        g = cycle_graph(5)
+        dm = apsp(g)
+        with pytest.raises(NotAnEdge):
+            edge_partition(g, dm, e)
+        with pytest.raises(NotAnEdge):
+            mu(g, dm, 1, 3, e)
 
     def test_counts_sum_to_n(self):
         for g in small_connected(6, min_n=2):
@@ -277,3 +287,18 @@ def test_partition_identity_random(seed):
     for e in g.edges:
         p = edge_partition(g, dm, e)
         assert p.n_u + p.n_v + p.n_0 == n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.data())
+def test_indices_invariant_under_relabeling(seed, data):
+    # n <= 8 keeps the path-enumeration oracle fast on dense draws.
+    n, edges = oracles.random_connected_graph(random.Random(seed), max_n=8)
+    g = build_graph(n, edges)
+    perm = data.draw(st.permutations(range(n)))
+    r = index_report(g)
+    assert index_report(relabel(g, perm)) == r
+    assert (r.wiener, r.szeged, r.revised_szeged_x4) == (
+        oracles.wiener_oracle(n, edges),
+        oracles.szeged_oracle(n, edges),
+        oracles.revised_szeged_x4_oracle(n, edges))
