@@ -76,7 +76,8 @@ def check_scope(filt: UniverseFilter) -> None:
 
 def graph_from_code(n: int, code: int) -> Graph:
     """Graph in canonical labeling from its m-bit canonical code."""
-    return graph_from_bits(n, _canon.unpack_code(code, n))
+    m = _canon.num_pairs(n)
+    return graph_from_bits(n, [code >> s & 1 for s in range(m - 1, -1, -1)])
 
 
 def _valid_columns(parent: Graph, lane: tuple[int, bool]) -> list[int]:
@@ -115,20 +116,67 @@ def _children_rows(parent_codes, child_n: int, lane: tuple[int, bool]) -> np.nda
     return np.vstack(blocks)
 
 
+def _deletion_candidates(rows: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the child rows whose new vertex n - 1 is a deletion candidate.
+
+    A vertex's key is (degree, sum of its neighbours' degrees).  The new
+    vertex is a candidate unless some non-cut vertex (one whose removal
+    leaves the graph connected) has a larger key.  The new vertex is
+    itself non-cut, since its parent is connected.  Only the vertices
+    that beat the new one are tested for being non-cut: a bitmask
+    closure of G - w from the lowest vertex other than w.
+    """
+    pairs = np.array(_canon.pair_list(n), dtype=np.intp).reshape(-1, 2)
+    adj = np.zeros((len(rows), n, n), dtype=np.uint8)
+    adj[:, pairs[:, 0], pairs[:, 1]] = rows
+    adj[:, pairs[:, 1], pairs[:, 0]] = rows
+    deg = adj.sum(axis=2, dtype=np.int16)
+    # Neighbour-degree sums stay below n * n, so this orders keys
+    # lexicographically.
+    key = deg * (n * n) + np.einsum("rvu,ru->rv", adj, deg)
+    row, w = np.nonzero(key[:, :-1] > key[:, -1:])
+    nbrs = np.zeros((len(rows), n), dtype=np.int32)
+    for u in range(n):
+        nbrs |= adj[:, :, u].astype(np.int32) << u
+    nbrs = nbrs[row]
+    rest = ((1 << n) - 1) ^ (1 << w).astype(np.int32)  # vertices of G - w
+    reach = np.where(w == 0, 2, 1).astype(np.int32)
+    while True:
+        grown = reach.copy()
+        for v in range(n):
+            grown |= nbrs[:, v] & -((reach >> v) & 1)
+        grown &= rest
+        if (grown == reach).all():
+            break
+        reach = grown
+    mask = np.ones(len(rows), dtype=bool)
+    mask[row[reach == rest]] = False
+    return mask
+
+
 @lru_cache(maxsize=None)
 def _level_codes(n: int, lane: tuple[int, bool]) -> tuple[int, ...]:
     """Canonical codes, sorted, of the connected lane-surviving n-vertex graphs.
 
-    Complete because every connected graph has a vertex whose removal
-    leaves it connected (a leaf of a spanning tree), and the graph left
-    keeps girth and bipartiteness: so each graph of the level is a
-    connected parent of the level below plus one nonempty column the lane
-    allows.  The rows are distinct (distinct parents times distinct
-    columns), so they go to the canonizer as they are.
+    Every connected graph has a vertex whose removal leaves it connected
+    (a leaf of a spanning tree), and the graph left keeps girth and
+    bipartiteness: so each graph of the level is a connected parent of
+    the level below plus one nonempty column the lane allows.  The rows
+    are distinct (distinct parents times distinct columns).
+
+    Only rows whose new vertex is a deletion candidate are canonized
+    (McKay's canonical deletion, J. Algorithms 26, 1998).  No class is
+    lost: take any graph G of the level and a non-cut vertex v* of
+    largest key.  G - v* is connected and stays in the lane, so its
+    canonical code is in the level below; the lane's conflict rule is
+    exact, so the row adding v*'s neighbourhood to it is generated.  That
+    row is G, and its new vertex has v*'s key, which no non-cut vertex
+    beats, so the row survives the mask.
     """
     if n == 1:
         return (0,)
     rows = _children_rows(_level_codes(n - 1, lane), n, lane)
+    rows = rows[_deletion_candidates(rows, n)]
     return tuple(sorted(set(_canon.min_codes(rows, n).tolist())))
 
 

@@ -380,8 +380,15 @@ def adjacency_bits(g: Graph) -> np.ndarray:
 
 
 def graph_from_bits(n: int, bits) -> Graph:
-    """Inverse of adjacency_bits: the graph whose column-order pairs are set."""
-    return build_graph(n, [pair for pair, bit in zip(_canon.pair_list(n), bits) if bit])
+    """Inverse of adjacency_bits: the graph whose column-order pairs are set.
+
+    Every 0/1 row over pair_list(n) is a simple graph, so the set pairs
+    become its edges without build_graph's checks.
+    """
+    if n < 1:
+        raise GraphError(f"vertex count must be positive, got {n}")
+    pairs = [pair for pair, bit in zip(_canon.pair_list(n), bits) if bit]
+    return Graph(n, tuple(sorted(pairs)))
 
 
 def canonical_form(g: Graph) -> bytes:

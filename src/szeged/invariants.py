@@ -158,7 +158,11 @@ def pi(g: Graph, dm: DistanceMatrix, x: int, y: int) -> PairContribution:
     _require_connected(dm)
     if x == y:
         raise SamePair(f"pair needs two distinct vertices, got {x} twice")
-    straddled = tuple(e for e in g.edges if mu(g, dm, x, y, e))
+    # mu(x, y, e) is 1 iff the two distance differences across e have
+    # opposite strict signs.
+    dx, dy = dm[x], dm[y]
+    straddled = tuple((u, v) for u, v in g.edges
+                      if (dx[u] - dx[v]) * (dy[u] - dy[v]) < 0)
     return PairContribution((x, y), straddled, len(straddled) - dm[x][y])
 
 
@@ -186,6 +190,16 @@ def index_report(g: Graph, dm: DistanceMatrix | None = None) -> IndexReport:
     _require_connected(dm)
     w = wiener(g, dm)
     sz, rsz4 = _szeged_pair(g, dm)
+    bipartite = bool(is_bipartite(g))
+    length = girth(g).length
+    # The odd girth is known unless the graph has an odd cycle but an
+    # even shortest cycle.
+    if bipartite:
+        odd = None
+    elif length % 2:
+        odd = length
+    else:
+        odd = odd_girth(g).length
     return IndexReport(
         n=g.n,
         m=g.m,
@@ -194,7 +208,7 @@ def index_report(g: Graph, dm: DistanceMatrix | None = None) -> IndexReport:
         revised_szeged_x4=rsz4,
         gap_sz=sz - w,
         gap_rsz_x4=rsz4 - 4 * w,
-        bipartite=bool(is_bipartite(g)),
-        girth=girth(g).length,
-        odd_girth=odd_girth(g).length,
+        bipartite=bipartite,
+        girth=length,
+        odd_girth=odd,
     )

@@ -16,7 +16,7 @@ from .extremal import (  # THEOREMS and universe_filter stay importable here
     universe_filter,
 )
 from .graphs import Graph, apsp, blocks, canonical_form, girth, is_bipartite
-from .invariants import blocks_all_complete, index_report, n0_sum, pi, szeged, wiener
+from .invariants import blocks_all_complete, index_report, pi, szeged, wiener
 
 
 def _gap(bound: BoundValue, g: Graph) -> int:
@@ -174,12 +174,15 @@ def _equidistant_ok(g: Graph, dm) -> bool:
     and the n_0 total over edges reaches n."""
     if g.n < 4 or is_bipartite(g):
         return True
-    if n0_sum(g, dm) < g.n:
-        return False
-    for u in range(g.n):
-        if not any(dm[u][a] == dm[u][b] for a, b in g.edges):
-            return False
-    return True
+    n0 = 0
+    untied = (1 << g.n) - 1  # vertices equidistant on no edge yet
+    for a, b in g.edges:
+        da, db = dm[a], dm[b]
+        for u in range(g.n):
+            if da[u] == db[u]:
+                n0 += 1
+                untied &= ~(1 << u)
+    return n0 >= g.n and not untied
 
 
 def verify_lemmas(n: int) -> LemmaReport:

@@ -179,6 +179,53 @@ def test_children_rows_are_distinct(lane):
         assert len(np.unique(rows, axis=0)) == len(rows)
 
 
+LANES = [(0, False), (0, True), (4, False), (5, False)]
+
+
+def child_rows(n, lane):
+    return enumeration._children_rows(enumeration._level_codes(n - 1, lane), n, lane)
+
+
+class TestDeletionCandidates:
+    @pytest.mark.parametrize("lane", LANES)
+    def test_filtered_rows_reach_every_class(self, lane):
+        # The sweep over the rows kept by the mask finds the same classes
+        # as the sweep over every child row; the bipartite and girth-5
+        # lanes are checked one level further.
+        top = 8 if lane in ((0, True), (5, False)) else 7
+        for n in range(2, top + 1):
+            rows = child_rows(n, lane)
+            kept = rows[enumeration._deletion_candidates(rows, n)]
+            assert (set(_canon.min_codes(kept, n).tolist())
+                    == set(_canon.min_codes(rows, n).tolist()))
+
+    def test_mask_matches_networkx(self):
+        # Key (degree, sum of neighbour degrees); the new vertex n - 1 is
+        # kept unless a vertex that is no articulation point beats it.
+        nx = pytest.importorskip("networkx")
+        for n in range(2, 8):
+            rows = child_rows(n, (0, False))
+            got = enumeration._deletion_candidates(rows, n)
+            pairs = [(i, j) for j in range(n) for i in range(j)]
+            for row, kept in zip(rows.tolist(), got.tolist()):
+                h = nx.Graph()
+                h.add_nodes_from(range(n))
+                h.add_edges_from(p for p, bit in zip(pairs, row) if bit)
+                deg = dict(h.degree())
+                key = {v: (deg[v], sum(deg[u] for u in h[v])) for v in h}
+                noncut = set(h) - set(nx.articulation_points(h))
+                assert kept == all(key[w] <= key[n - 1] for w in noncut)
+
+    def test_rows_left_for_the_sweep(self):
+        counts = {(7, (0, False)): (7056, 1480),
+                  (8, (0, True)): (1118, 307),
+                  (8, (5, False)): (250, 74)}
+        for (n, lane), want in counts.items():
+            rows = child_rows(n, lane)
+            kept = int(enumeration._deletion_candidates(rows, n).sum())
+            assert (len(rows), kept) == want
+
+
 ATLAS_FILTERS = {
     "any": lambda n: UniverseFilter(n),
     "bipartite": lambda n: UniverseFilter(n, bipartite="yes"),

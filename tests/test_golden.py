@@ -2,7 +2,9 @@
 
 tests/golden/theorems.json holds verify_theorem(...).to_dict() for thm1
 n = 5..8, thm2 n = 4..8 and thm3 n = 4..7; tests/golden/lemmas.json holds
-verify_lemmas(n).to_dict() for n = 1..7; elapsed_ms is dropped from both.
+verify_lemmas(n).to_dict() for n = 1..7; tests/golden/n8.json holds the
+two n = 8 frontier reports, verify_theorem("thm3", 8) and verify_lemmas(8).
+elapsed_ms is dropped from all of them.
 A change that means to alter a report rewrites these files and says why.
 """
 
@@ -39,3 +41,9 @@ def test_theorem_report(want):
                          ids=lambda d: f"lemmas-n{d['n']}")
 def test_lemma_report(want):
     assert _without_elapsed(verify_lemmas(want["n"])) == want
+
+
+def test_n8_frontier_reports():
+    want = _load("n8.json")
+    assert _without_elapsed(verify_theorem("thm3", 8)) == want["theorem"]
+    assert _without_elapsed(verify_lemmas(8)) == want["lemmas"]

@@ -26,6 +26,7 @@ from szeged import (
     is_bipartite,
     mu,
     n0_sum,
+    odd_girth,
     path_graph,
     pi,
     relabel,
@@ -183,6 +184,64 @@ class TestPi:
         g = cycle_graph(4)
         with pytest.raises(SamePair):
             pi(g, apsp(g), 0, 0)
+
+
+def random_graph_of_kind(rng, kind):
+    """Random connected graph, n <= 10, of kind "any", "bipartite" or "even-girth".
+
+    Extra edges join vertices of opposite depth parity in a random tree
+    unless kind is "any".  "even-girth" then adds one edge between two
+    vertices at even distance 4 or more: an odd cycle of length 5 or more
+    appears, while any 4-cycle stays shortest.
+    """
+    n = rng.randint(2, 10)
+    parent = [rng.randrange(i) for i in range(1, n)]
+    side = [0]
+    for p in parent:
+        side.append(1 - side[p])
+    edges = {(p, i) for i, p in enumerate(parent, 1)}
+    density = rng.random() * 0.5
+    for j in range(n):
+        for i in range(j):
+            if (kind == "any" or side[i] != side[j]) and rng.random() < density:
+                edges.add((i, j))
+    g = build_graph(n, edges)
+    if kind == "even-girth":
+        dm = apsp(g)
+        far = [(i, j) for j in range(n) for i in range(j)
+               if dm[i][j] >= 4 and dm[i][j] % 2 == 0]
+        if far:
+            g = build_graph(n, edges | {rng.choice(far)})
+    return g
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6),
+       st.sampled_from(["any", "bipartite", "even-girth"]))
+def test_report_odd_girth_matches_scan(seed, kind):
+    g = random_graph_of_kind(random.Random(seed), kind)
+    assert index_report(g).odd_girth == odd_girth(g).length
+
+
+def test_report_odd_girth_with_even_girth():
+    # A 4-cycle and a 5-cycle sharing the edge (0, 1).
+    g = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (4, 5), (5, 6), (6, 0)])
+    r = index_report(g)
+    assert (r.bipartite, r.girth, r.odd_girth) == (False, 4, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_pi_matches_mu_definition(seed):
+    n, edges = oracles.random_connected_graph(random.Random(seed), max_n=10)
+    g = build_graph(n, edges)
+    dm = apsp(g)
+    for x in range(n):
+        for y in range(x + 1, n):
+            want = tuple(e for e in g.edges if mu(g, dm, x, y, e))
+            p = pi(g, dm, x, y)
+            assert p.pair == (x, y)
+            assert p.mu_edges == want and p.pi == len(want) - dm[x][y]
 
 
 class TestDualFormula:
