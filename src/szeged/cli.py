@@ -53,8 +53,8 @@ def _emit_graph(g: Graph, fmt: str) -> str:
 
 def cmd_compute(args) -> int:
     g = _parse_graph(_read_input(args.input), args.format)
-    dm = apsp(g)
-    report = index_report(g, dm)
+    report = index_report(g)
+    dm = apsp(g) if args.pairs else None
     if args.json:
         payload = report.to_dict()
         if args.pairs:

@@ -10,16 +10,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import lt
 
-from .errors import Disconnected, NotAnEdge, SamePair
-from .graphs import (
-    BlockDecomposition,
-    DistanceMatrix,
-    Graph,
-    apsp,
-    girth,
-    is_bipartite,
-    odd_girth,
-)
+from .errors import Disconnected, NotAnEdge, SamePair, TooLarge
+from .graphs import BlockDecomposition, DistanceMatrix, Graph
+
+# Nothing here calls these; perfbench/child.py spans them on this module
+# when it traces a run.
+from .graphs import apsp, girth, is_bipartite, odd_girth  # noqa: F401
+
+# index_report refuses larger graphs.  Its sweep does about
+# deg(v) * ecc(v) n-bit operations per vertex v, so a path (the largest
+# diameter) is the worst shape: a cold `compute` on a 5000-vertex path
+# takes 13-28 s on 2 vCPUs, the upper figure on a loaded machine.
+INDEX_MAX_N = 5000
 
 
 @dataclass(frozen=True)
@@ -183,32 +185,113 @@ def blocks_all_complete(g: Graph, bd: BlockDecomposition) -> bool:
     return True
 
 
-def index_report(g: Graph, dm: DistanceMatrix | None = None) -> IndexReport:
-    """Bundle all indices and gaps for one connected graph."""
-    if dm is None:
-        dm = apsp(g)
-    _require_connected(dm)
-    w = wiener(g, dm)
-    sz, rsz4 = _szeged_pair(g, dm)
-    bipartite = bool(is_bipartite(g))
-    length = girth(g).length
-    # The odd girth is known unless the graph has an odd cycle but an
-    # even shortest cycle.
-    if bipartite:
-        odd = None
-    elif length % 2:
-        odd = length
-    else:
-        odd = odd_girth(g).length
+def _sweep(g: Graph):
+    """Bit-parallel BFS from every vertex (Akiba, Iwata & Yoshida 2013).
+
+    Returns (trans, odd, odd_level, even_level).  trans[v] is the
+    transmission of v, the sum of its distances, and odd[v] the bitset of
+    the sources at odd distance from v.  odd_level is the first depth k
+    at which two adjacent vertices share a source at distance k, and
+    even_level the first depth k at which a source reaches some vertex
+    through two different neighbours; None where not found or not looked
+    for.  Raises Disconnected unless every vertex reaches every source.
+
+    Bit s of front[v] is set iff d(s, v) is the current depth k, and bit s
+    of unreached[v] iff d(s, v) > k.  The next fronts are the unions of
+    the neighbours' fronts minus the sources already reached, so a step
+    costs one big-integer OR per edge end, and only vertices with a
+    nonempty front (those whose eccentricity is at least k) are visited.
+
+    The cycle tests rest on a shortest cycle, and a shortest odd cycle,
+    being isometric.  An odd one of length 2k + 1 puts some source at
+    distance k from both ends of an edge, and no shorter odd closed walk
+    exists; an even one of length 2k gives some vertex two neighbours at
+    distance k - 1 from a source at distance k from it.  The step to depth
+    k tests depth k - 1 for the odd case and depth k for the even one, so
+    once the odd test has fired no even cycle found later is shorter:
+    the even test runs only while neither has fired.  Forests skip both.
+    """
+    n, adj = g.n, g.adj
+    front = [1 << v for v in range(n)]
+    unreached = [((1 << n) - 1) ^ f for f in front]
+    odd = [0] * n
+    trans = [0] * n
+    cyclic = g.m >= n
+    odd_level = even_level = None
+    active = [v for v in range(n) if adj[v]]
+    k = 0
+    while active:
+        k += 1
+        test_odd = cyclic and odd_level is None
+        test_even = test_odd and even_level is None
+        depth_is_odd = k & 1
+        nxt = [0] * n
+        still = []
+        for v in active:
+            seen = 0
+            if test_even:
+                twice = 0
+                for u in adj[v]:
+                    f = front[u]
+                    twice |= seen & f
+                    seen |= f
+                if twice & unreached[v]:
+                    even_level = k
+            else:
+                for u in adj[v]:
+                    seen |= front[u]
+            if test_odd and seen & front[v]:
+                odd_level = k - 1
+            new = seen & unreached[v]
+            if new:
+                nxt[v] = new
+                unreached[v] ^= new
+                trans[v] += k * new.bit_count()
+                if depth_is_odd:
+                    odd[v] |= new
+                still.append(v)
+        front, active = nxt, still
+    if any(unreached):
+        raise Disconnected("indices are defined for connected graphs only")
+    return trans, odd, odd_level, even_level
+
+
+def index_report(g: Graph) -> IndexReport:
+    """Bundle all indices and gaps for one connected graph.
+
+    Everything comes from one _sweep and one pass over the edges.  Across
+    an edge uv every distance changes by at most one, so
+    n_u - n_v = D(v) - D(u) for the transmissions D, and the vertices
+    that are not tied are those at distances of opposite parity:
+    n_u + n_v = |odd[u] ^ odd[v]|.  Writing a and b for these two,
+    4 n_u n_v = a^2 - b^2 and (2 n_u + n_0)(2 n_v + n_0) = n^2 - b^2.
+    """
+    n = g.n
+    if n > INDEX_MAX_N:
+        raise TooLarge(f"index report is capped at n = {INDEX_MAX_N}, got n = {n}")
+    trans, odd, odd_level, even_level = _sweep(g)
+    sz4 = b2 = untied = 0
+    for u, v in g.edges:
+        a = (odd[u] ^ odd[v]).bit_count()
+        b = trans[v] - trans[u]
+        sz4 += a * a
+        b2 += b * b
+        untied += a
+    w = sum(trans) // 2
+    sz = (sz4 - b2) // 4
+    rsz4 = g.m * n * n - b2
+    odd_len = None if odd_level is None else 2 * odd_level + 1
+    even_len = None if even_level is None else 2 * even_level
+    length = min((x for x in (odd_len, even_len) if x is not None), default=None)
     return IndexReport(
-        n=g.n,
+        n=n,
         m=g.m,
         wiener=w,
         szeged=sz,
         revised_szeged_x4=rsz4,
         gap_sz=sz - w,
         gap_rsz_x4=rsz4 - 4 * w,
-        bipartite=bipartite,
+        bipartite=untied == g.m * n,
         girth=length,
-        odd_girth=odd,
+        odd_girth=odd_len,
     )

@@ -17,6 +17,7 @@ from szeged import (
     path_graph,
 )
 from szeged.cli import main
+from szeged.invariants import INDEX_MAX_N
 
 C5_TEXT = emit_edgelist(cycle_graph(5))
 
@@ -97,6 +98,15 @@ class TestCompute:
         code, _, err = run(capsys, monkeypatch,
                            ["compute", str(tmp_path / "absent.txt")])
         assert code == 3 and "error:" in err
+
+    def test_over_the_size_cap_exits_two(self, capsys, monkeypatch):
+        # With --pairs too: the cap refuses the graph before any pair work.
+        text = emit_edgelist(path_graph(INDEX_MAX_N + 1))
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, monkeypatch,
+                             ["compute", "--json", "--pairs"], stdin=text)
+        assert time.perf_counter() - t0 < 5
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 class TestConstruct:

@@ -13,6 +13,8 @@ from szeged import (
     Disconnected,
     NotAnEdge,
     SamePair,
+    TooLarge,
+    TreeSpec,
     UniverseFilter,
     apsp,
     blocks,
@@ -20,8 +22,10 @@ from szeged import (
     build_graph,
     complete_graph,
     cycle_graph,
+    cycle_with_tree,
     edge_partition,
     enumerate_connected,
+    girth,
     index_report,
     is_bipartite,
     mu,
@@ -35,6 +39,7 @@ from szeged import (
     szeged_via_mu,
     wiener,
 )
+from szeged.invariants import INDEX_MAX_N
 
 PAW = [(0, 1), (0, 2), (1, 2), (0, 3)]
 
@@ -51,6 +56,17 @@ def random_tree(rng, n):
 def small_connected(max_n, min_n=1):
     for n in range(min_n, max_n + 1):
         yield from enumerate_connected(UniverseFilter(n))
+
+
+def reference_report(g):
+    """index_report's fields by the per-source path: apsp feeding the index
+    functions, plus the BFS bipartite test and the shortest-cycle scans."""
+    dm = apsp(g)
+    w, sz, rsz4 = wiener(g, dm), szeged(g, dm), revised_szeged_x4(g, dm)
+    return {"n": g.n, "m": g.m, "wiener": w, "szeged": sz,
+            "revised_szeged_x4": rsz4, "gap_sz": sz - w,
+            "gap_rsz_x4": rsz4 - 4 * w, "bipartite": bool(is_bipartite(g)),
+            "girth": girth(g).length, "odd_girth": odd_girth(g).length}
 
 
 class TestSpotValues:
@@ -186,21 +202,23 @@ class TestPi:
             pi(g, apsp(g), 0, 0)
 
 
-def random_graph_of_kind(rng, kind):
-    """Random connected graph, n <= 10, of kind "any", "bipartite" or "even-girth".
+def random_graph_of_kind(rng, kind, max_n=10):
+    """Random connected graph, n <= max_n, of kind "any", "bipartite" or
+    "even-girth".
 
     Extra edges join vertices of opposite depth parity in a random tree
-    unless kind is "any".  "even-girth" then adds one edge between two
+    unless kind is "any"; their density falls as n grows, so large draws
+    keep long shortest cycles.  "even-girth" then adds one edge between two
     vertices at even distance 4 or more: an odd cycle of length 5 or more
     appears, while any 4-cycle stays shortest.
     """
-    n = rng.randint(2, 10)
+    n = rng.randint(2, max_n)
     parent = [rng.randrange(i) for i in range(1, n)]
     side = [0]
     for p in parent:
         side.append(1 - side[p])
     edges = {(p, i) for i, p in enumerate(parent, 1)}
-    density = rng.random() * 0.5
+    density = rng.random() * min(0.5, 3 / n)
     for j in range(n):
         for i in range(j):
             if (kind == "any" or side[i] != side[j]) and rng.random() < density:
@@ -219,8 +237,9 @@ def random_graph_of_kind(rng, kind):
 @given(st.integers(min_value=0, max_value=10**6),
        st.sampled_from(["any", "bipartite", "even-girth"]))
 def test_report_odd_girth_matches_scan(seed, kind):
-    g = random_graph_of_kind(random.Random(seed), kind)
-    assert index_report(g).odd_girth == odd_girth(g).length
+    # Every field, the odd girth among them, against the reference path.
+    g = random_graph_of_kind(random.Random(seed), kind, max_n=40)
+    assert index_report(g).to_dict() == reference_report(g)
 
 
 def test_report_odd_girth_with_even_girth():
@@ -319,6 +338,40 @@ class TestIndexReport:
     def test_tree_report(self):
         r = index_report(path_graph(4))
         assert r.girth is None and r.bipartite and r.gap_sz == 0
+
+
+# Shapes whose diameter is close to n, and complete graphs (diameter 1).
+LARGE_DIAMETER = (
+    {f"path-{k}": path_graph(k) for k in (2, 3, 64, 299, 300)}
+    | {f"cycle-{k}": cycle_graph(k) for k in (3, 4, 5, 6, 7, 64, 65, 299, 300)}
+    | {f"c{c}-path-{k}": cycle_with_tree(c, TreeSpec.path(k))
+       for c in (3, 4, 5) for k in (2, 3, 60, 296)}
+    | {f"complete-{k}": complete_graph(k) for k in (1, 2, 3, 4, 40)}
+)
+
+
+class TestSweepAgainstReference:
+    """index_report's one all-sources sweep against reference_report."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_connected_class(self, n):
+        for g in enumerate_connected(UniverseFilter(n)):
+            assert index_report(g).to_dict() == reference_report(g)
+
+    @pytest.mark.parametrize("g", LARGE_DIAMETER.values(), ids=list(LARGE_DIAMETER))
+    def test_large_diameter_shapes(self, g):
+        assert index_report(g).to_dict() == reference_report(g)
+
+    def test_size_cap(self):
+        # A star keeps the sweep to three levels, so n = INDEX_MAX_N is quick.
+        def star(n):
+            return build_graph(n, [(0, i) for i in range(1, n)])
+        r = index_report(star(INDEX_MAX_N))
+        assert r.wiener == r.szeged == (INDEX_MAX_N - 1) ** 2
+        with pytest.raises(TooLarge):
+            index_report(star(INDEX_MAX_N + 1))
+        with pytest.raises(TooLarge):
+            index_report(path_graph(INDEX_MAX_N + 1))
 
 
 class TestDisconnectedRejected:
