@@ -4,9 +4,9 @@ A labeled graph on n vertices is a 0/1 vector over the C(n,2) vertex pairs in
 column order (0,1), (0,2), (1,2), (0,3), ... — the same order graph6 uses.
 Read as an m-bit integer with the first pair as the top bit, it is the graph's
 code; the canonical code is the smallest code over all vertex relabelings.
-Whole batches of rows are swept through all n! relabelings at once: each
-relabeled code is one exact float64 matrix product of the bit rows with a
-table of powers of two.
+Whole batches of rows are swept through all n! relabelings in blocks of at
+most MAX_TABLE_N!: each block's relabeled codes are one exact float64 matrix
+product of the gathered bit rows with a table of powers of two.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-# Weight tables cover at most MAX_TABLE_N! permutations; larger n sweeps
-# n!/MAX_TABLE_N! blocks of them, one per choice of the first
-# n - MAX_TABLE_N images.
-MAX_TABLE_N = 8
+# Weight tables cover at most MAX_TABLE_N! = 5,040 permutations (1.8 MB at
+# n = 10); larger n sweeps n!/MAX_TABLE_N! blocks of them, one per choice of
+# the first n - MAX_TABLE_N images.
+MAX_TABLE_N = 7
 # Codes are sums of distinct powers of two below 2^m, exact in float64 only
 # while m fits its 53-bit significand.
 MAX_EXACT_BITS = 53
@@ -62,55 +62,34 @@ def _pair_slots(images: np.ndarray, n: int) -> np.ndarray:
     return slot
 
 
-def _permutations(k: int) -> np.ndarray:
-    """All k! permutations of range(k) as the columns of a (k, k!) int8 array.
-
-    Built by insertion: each permutation of range(j) yields j + 1 of
-    range(j + 1), one per position the new value j can take.
-    """
-    perms = np.zeros((min(k, 1), 1), dtype=np.int8)
-    for j in range(1, k):
-        grown = np.empty((j + 1, j + 1, perms.shape[1]), dtype=np.int8)
-        for pos in range(j + 1):
-            grown[:pos, pos] = perms[:pos]
-            grown[pos, pos] = j
-            grown[pos + 1:, pos] = perms[pos:]
-        perms = grown.reshape(j + 1, -1)
-    return perms
-
-
 @lru_cache(maxsize=None)
 def _weights(n: int) -> np.ndarray:
     """Wt (m, P) over the permutations fixing vertices below n - MAX_TABLE_N.
 
-    That is all n! permutations when n <= MAX_TABLE_N.  Wt[s, p] = 2^(m-1-t)
-    where permutation p moves source slot s to target slot t, so bits @ Wt
-    holds every such relabeled code of every row.
+    P = min(n, MAX_TABLE_N)!, all n! permutations when n <= MAX_TABLE_N.
+    Wt[s, p] = 2^(m-1-t) where permutation p moves source slot s to target
+    slot t, so bits @ Wt holds every such relabeled code of every row.
     """
     k = max(0, n - MAX_TABLE_N)
-    tails = _permutations(n - k)
-    images = np.empty((n, tails.shape[1]), dtype=np.int8)
-    images[:k] = np.arange(k)[:, None]
-    np.add(tails, k, out=images[k:])
+    images = [tuple(range(k)) + tail for tail in itertools.permutations(range(k, n))]
     m = num_pairs(n)
-    return (2.0 ** np.arange(m - 1, -1, -1))[_pair_slots(images, n)]
+    slots = _pair_slots(np.array(images, dtype=np.int8).T, n)
+    return (2.0 ** np.arange(m - 1, -1, -1))[slots]
 
 
-def _block_sources(n: int):
-    """One relabeling per block: the first n - MAX_TABLE_N images fixed.
+@lru_cache(maxsize=None)
+def _block_sources(n: int) -> np.ndarray:
+    """Source slot maps, one row per block of the n! relabelings.
 
-    Each is the source slot feeding every target slot.  Composing it with
-    the permutations of _weights(n) yields every one of the n! relabelings
-    exactly once.  Up to MAX_TABLE_N the table alone covers them all, and
-    the one block is the rows as they are.
+    Each row fixes the first n - MAX_TABLE_N images and gives the source
+    slot feeding every target slot; composing it with the permutations of
+    _weights(n) yields every one of the n! relabelings exactly once.  Up
+    to MAX_TABLE_N there is one block, the identity.
     """
-    k = n - MAX_TABLE_N
-    if k <= 0:
-        yield slice(None)
-        return
-    for head in itertools.permutations(range(n), k):
-        rest = tuple(v for v in range(n) if v not in head)
-        yield _pair_slots(np.array(head + rest, dtype=np.int8)[:, None], n)[:, 0]
+    k = max(0, n - MAX_TABLE_N)
+    images = [head + tuple(v for v in range(n) if v not in head)
+              for head in itertools.permutations(range(n), k)]
+    return _pair_slots(np.array(images, dtype=np.int8).T, n).T
 
 
 def unpack_code(code: int, n: int) -> np.ndarray:
@@ -123,7 +102,8 @@ def min_codes(bits: np.ndarray, n: int) -> np.ndarray:
     """Canonical (minimal) code of each bit row under all vertex relabelings.
 
     bits has shape (B, C(n,2)); the returned int64 array has shape (B,).
-    Rows are chunked so that no (rows, permutations) product exceeds roughly
+    Every n runs the same loop over the blocks of _block_sources(n); rows
+    are chunked so that no (rows, permutations) product exceeds roughly
     _BATCH_BYTES.
     """
     bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))

@@ -16,6 +16,7 @@ import json
 import random
 import sys
 
+from ._canon import num_pairs
 from .enumeration import MAX_N, MAX_N_PRUNED, check_scope
 from .errors import Disconnected, FormatError, GraphError, HypothesisViolated, TooLarge
 from .extremal import TreeSpec, c5_two_trees, cycle_with_tree
@@ -25,6 +26,11 @@ from .invariants import index_report, pi
 from .verify import THEOREMS, universe_filter, verify_lemmas, verify_theorem
 
 FORMATS = ("edgelist", "graph6")
+# compute --pairs costs, and prints, about C(n,2)*m: one edge scan per
+# vertex pair.  A path is the worst shape.  The largest path within this
+# budget, n = 450, took 26-28 s cold (184 MB of JSON, 1.7 GB peak RSS) on a
+# 2-vCPU machine; n = 460 took 31 s.
+PAIRS_MAX_WORK = 45_400_000
 
 
 def _read_input(path: str) -> str:
@@ -53,6 +59,9 @@ def _emit_graph(g: Graph, fmt: str) -> str:
 
 def cmd_compute(args) -> int:
     g = _parse_graph(_read_input(args.input), args.format)
+    if args.pairs and num_pairs(g.n) * g.m > PAIRS_MAX_WORK:
+        raise TooLarge(f"--pairs work C(n,2)*m = {num_pairs(g.n) * g.m} is over "
+                       f"the budget of {PAIRS_MAX_WORK}")
     report = index_report(g)
     dm = apsp(g) if args.pairs else None
     if args.json:

@@ -15,7 +15,7 @@ from .extremal import (  # THEOREMS and universe_filter stay importable here
     theorem_bound,
     universe_filter,
 )
-from .graphs import Graph, apsp, blocks, canonical_form, girth, is_bipartite
+from .graphs import Graph, apsp, blocks, canonical_form, girth
 from .invariants import blocks_all_complete, index_report, pi
 
 
@@ -171,8 +171,13 @@ def _block_iff_ok(g: Graph) -> bool:
 
 def _equidistant_ok(g: Graph, dm) -> bool:
     """Nonbipartite, n >= 4: every vertex is equidistant on some edge,
-    and the n_0 total over edges reaches n."""
-    if g.n < 4 or is_bipartite(g):
+    and the n_0 total over edges reaches n.
+
+    A connected graph is bipartite iff no edge has an equidistant vertex:
+    parity rules ties out, and the vertex opposite an edge of a shortest
+    odd cycle is one.  So a tie total of 0 marks the bipartite graphs.
+    """
+    if g.n < 4:
         return True
     n0 = 0
     untied = (1 << g.n) - 1  # vertices equidistant on no edge yet
@@ -182,7 +187,7 @@ def _equidistant_ok(g: Graph, dm) -> bool:
             if da[u] == db[u]:
                 n0 += 1
                 untied &= ~(1 << u)
-    return n0 >= g.n and not untied
+    return n0 == 0 or (n0 >= g.n and not untied)
 
 
 def verify_lemmas(n: int) -> LemmaReport:

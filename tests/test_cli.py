@@ -16,10 +16,18 @@ from szeged import (
     parse_graph6,
     path_graph,
 )
-from szeged.cli import main
+from szeged.cli import PAIRS_MAX_WORK, main
 from szeged.invariants import INDEX_MAX_N
 
 C5_TEXT = emit_edgelist(cycle_graph(5))
+
+
+def path_over_pairs_budget():
+    """Shortest path whose --pairs work C(n,2)*(n-1) exceeds the budget."""
+    n = 2
+    while n * (n - 1) // 2 * (n - 1) <= PAIRS_MAX_WORK:
+        n += 1
+    return emit_edgelist(path_graph(n))
 
 
 def run(capsys, monkeypatch, argv, stdin=None):
@@ -107,6 +115,26 @@ class TestCompute:
                              ["compute", "--json", "--pairs"], stdin=text)
         assert time.perf_counter() - t0 < 5
         assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_pairs_budget_refuses_before_any_work(self, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("index or distance work before the budget check")
+
+        monkeypatch.setattr("szeged.cli.index_report", no_work)
+        monkeypatch.setattr("szeged.cli.apsp", no_work)
+        code, _, _ = run(capsys, monkeypatch, ["compute", "--json", "--pairs"],
+                         stdin=path_over_pairs_budget())
+        assert code == 2
+
+    @pytest.mark.parametrize("budget,want", [(50, 0), (49, 2)])
+    def test_pairs_budget_is_inclusive(self, capsys, monkeypatch, budget, want):
+        # C5 costs C(5,2) * 5 = 50.
+        monkeypatch.setattr("szeged.cli.PAIRS_MAX_WORK", budget)
+        code, _, _ = run(capsys, monkeypatch, ["compute", "--json", "--pairs"],
+                         stdin=C5_TEXT)
+        assert code == want
+        # Without --pairs there is no such budget.
+        assert run(capsys, monkeypatch, ["compute", "--json"], stdin=C5_TEXT)[0] == 0
 
 
 class TestConstruct:
@@ -310,8 +338,9 @@ class TestExitCodes:
           "--out", "/nonexistent/x"], None, 2),
         # "~~" starts the eight-byte vertex count, n = 258048 here.
         (["convert", "--from", "graph6", "--to", "edgelist"], "~~???~??\n", 3),
+        (["compute", "--pairs"], path_over_pairs_budget(), 2),
     ], ids=["lemmas-zero", "lemmas-negative", "verify-unwritable-out",
-            "convert-graph6-too-long"])
+            "convert-graph6-too-long", "compute-pairs-over-budget"])
     def test_exit_code(self, capsys, monkeypatch, argv, stdin, want):
         code, out, err = run(capsys, monkeypatch, argv, stdin=stdin)
         assert code == want

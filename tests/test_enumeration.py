@@ -12,6 +12,7 @@ import pytest
 
 import oracles
 from szeged import _canon, enumeration
+from szeged.graphs import CANON_MAX_N
 from szeged import (
     TooLarge,
     UniverseFilter,
@@ -329,7 +330,7 @@ def random_rows(rng, count, n):
 
 class TestMinCodes:
     @pytest.mark.parametrize("n,count", [(1, 2), (2, 4), (3, 8), (4, 40),
-                                         (5, 30), (6, 12), (7, 4)])
+                                         (5, 30), (6, 12), (7, 4), (8, 3)])
     def test_matches_naive_minimum(self, n, count):
         rows = random_rows(random.Random(n), count, n)
         got = _canon.min_codes(rows, n)
@@ -376,7 +377,7 @@ def naive_weight_columns(n):
 
 
 class TestWeightTable:
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, _canon.MAX_TABLE_N + 1))
     def test_columns_are_all_relabelings(self, n):
         wt = _canon._weights(n)
         m = _canon.num_pairs(n)
@@ -385,16 +386,30 @@ class TestWeightTable:
         # Exactness: each column holds m distinct powers of two.
         assert (np.sort(wt, axis=0) == 2.0 ** np.arange(m)[:, None]).all()
 
-    @pytest.mark.parametrize("n", [9, 10])
+    @pytest.mark.parametrize("n", range(_canon.MAX_TABLE_N + 1, CANON_MAX_N + 1))
     def test_block_tables_fix_the_leading_vertices(self, n):
         wt = _canon._weights(n)
         m = _canon.num_pairs(n)
-        assert wt.shape == (m, math.factorial(8))
+        assert wt.shape == (m, math.factorial(_canon.MAX_TABLE_N))
         assert (np.sort(wt, axis=0) == 2.0 ** np.arange(m)[:, None]).all()
         assert len(set(map(tuple, wt.T.tolist()))) == wt.shape[1]
         pairs = np.array(_canon.pair_list(n))
         targets = (m - 1 - np.log2(wt)).astype(np.intp)  # entry 2^(m-1-t)
-        for v in range(n - 8):
+        for v in range(n - _canon.MAX_TABLE_N):
             # v is fixed iff every pair at v lands on a pair at v.
             at_v = (pairs == v).any(axis=1)
             assert (pairs[targets[at_v]] == v).any(axis=-1).all()
+
+    @pytest.mark.parametrize("n", range(1, _canon.MAX_TABLE_N + 1))
+    def test_one_identity_block_up_to_table_size(self, n):
+        blocks = list(_canon._block_sources(n))
+        assert len(blocks) == 1
+        assert blocks[0].tolist() == list(range(_canon.num_pairs(n)))
+
+    @pytest.mark.parametrize("n", range(_canon.MAX_TABLE_N + 1, CANON_MAX_N + 1))
+    def test_blocks_and_table_cover_every_relabeling_once(self, n):
+        # One slot map per choice of the fixed leading images, each a
+        # permutation of the slots.
+        blocks = {tuple(src.tolist()) for src in _canon._block_sources(n)}
+        assert len(blocks) == math.factorial(n) // math.factorial(_canon.MAX_TABLE_N)
+        assert all(sorted(src) == list(range(_canon.num_pairs(n))) for src in blocks)
