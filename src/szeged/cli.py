@@ -18,7 +18,7 @@ import sys
 
 from ._canon import num_pairs
 from .enumeration import MAX_N, MAX_N_PRUNED, check_scope
-from .errors import Disconnected, FormatError, GraphError, HypothesisViolated, TooLarge
+from .errors import Disconnected, FormatError, GraphError, TooLarge
 from .extremal import TreeSpec, c5_two_trees, cycle_with_tree
 from .formats import emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
 from .graphs import Graph, apsp
@@ -28,8 +28,8 @@ from .verify import THEOREMS, universe_filter, verify_lemmas, verify_theorem
 FORMATS = ("edgelist", "graph6")
 # compute --pairs costs, and prints, about C(n,2)*m: one edge scan per
 # vertex pair.  A path is the worst shape.  The largest path within this
-# budget, n = 450, took 26-28 s cold (184 MB of JSON, 1.7 GB peak RSS) on a
-# 2-vCPU machine; n = 460 took 31 s.
+# budget, n = 450, took 12-14 s cold (184 MB of JSON, 32 MB peak RSS) on a
+# 2-vCPU machine (four runs); n = 460 took 12-14 s.
 PAIRS_MAX_WORK = 45_400_000
 
 
@@ -57,33 +57,39 @@ def _emit_graph(g: Graph, fmt: str) -> str:
     return emit_graph6(g).decode("ascii") + "\n"
 
 
+def _pair_rows(g: Graph):
+    """(x, y, d(x, y), pi(x, y)) for every pair x < y, from one apsp."""
+    dm = apsp(g)
+    for x in range(g.n):
+        for y in range(x + 1, g.n):
+            yield x, y, dm[x][y], pi(g, dm, x, y)
+
+
 def cmd_compute(args) -> int:
     g = _parse_graph(_read_input(args.input), args.format)
     if args.pairs and num_pairs(g.n) * g.m > PAIRS_MAX_WORK:
         raise TooLarge(f"--pairs work C(n,2)*m = {num_pairs(g.n) * g.m} is over "
                        f"the budget of {PAIRS_MAX_WORK}")
-    report = index_report(g)
-    dm = apsp(g) if args.pairs else None
-    if args.json:
-        payload = report.to_dict()
+    report = index_report(g).to_dict()
+    if args.json and not args.pairs:
+        print(json.dumps(report))
+    elif args.json:
+        # The same bytes as json.dumps of the report with a "pairs" list,
+        # written row by row so that memory does not grow with the output.
+        sys.stdout.write(json.dumps(report)[:-1] + ', "pairs": [')
+        sep = ""
+        for x, y, d, pc in _pair_rows(g):
+            sys.stdout.write(sep + json.dumps(
+                {"x": x, "y": y, "d": d, "mu_edges": pc.mu_edges, "pi": pc.pi}))
+            sep = ", "
+        print("]}")
+    else:
+        for key, value in report.items():
+            print(f"{key}: {value}")
         if args.pairs:
-            payload["pairs"] = [
-                {"x": x, "y": y, "d": dm[x][y],
-                 "mu_edges": [list(e) for e in pc.mu_edges], "pi": pc.pi}
-                for x in range(g.n) for y in range(x + 1, g.n)
-                for pc in [pi(g, dm, x, y)]
-            ]
-        print(json.dumps(payload))
-        return 0
-    for key, value in report.to_dict().items():
-        print(f"{key}: {value}")
-    if args.pairs:
-        print("pair contributions:")
-        for x in range(g.n):
-            for y in range(x + 1, g.n):
-                pc = pi(g, dm, x, y)
-                print(f"  ({x},{y}) d={dm[x][y]} pi={pc.pi} "
-                      f"edges={list(pc.mu_edges)}")
+            print("pair contributions:")
+            for x, y, d, pc in _pair_rows(g):
+                print(f"  ({x},{y}) d={d} pi={pc.pi} edges={list(pc.mu_edges)}")
     return 0
 
 
@@ -99,43 +105,37 @@ def _tree_spec(size: int, seed_rng: random.Random | None, what: str) -> TreeSpec
 
 def cmd_construct(args) -> int:
     rng = random.Random(args.seed) if args.seed is not None else None
-    try:
-        if args.family == "cycle-tree":
-            if args.cycle is None or args.tree is None:
-                print("error: cycle-tree needs --cycle and --tree", file=sys.stderr)
-                return 2
-            g = cycle_with_tree(args.cycle, _tree_spec(args.tree, rng, "--tree"))
-        else:
-            if args.t1 is None or args.t2 is None:
-                print("error: c5-two-trees needs --t1 and --t2", file=sys.stderr)
-                return 2
-            g = c5_two_trees(_tree_spec(args.t1, rng, "--t1"),
-                             _tree_spec(args.t2, rng, "--t2"))
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.family == "cycle-tree":
+        if args.cycle is None or args.tree is None:
+            raise GraphError("cycle-tree needs --cycle and --tree")
+        g = cycle_with_tree(args.cycle, _tree_spec(args.tree, rng, "--tree"))
+    else:
+        if args.t1 is None or args.t2 is None:
+            raise GraphError("c5-two-trees needs --t1 and --t2")
+        g = c5_two_trees(_tree_spec(args.t1, rng, "--t1"),
+                         _tree_spec(args.t2, rng, "--t2"))
     sys.stdout.write(_emit_graph(g, args.format))
     return 0
 
 
-def _parse_range(spec: str) -> list[int]:
-    if ".." in spec:
-        lo_s, hi_s = spec.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(spec)
+def _parse_range(spec: str) -> range:
+    try:
+        if ".." in spec:
+            lo_s, hi_s = spec.split("..", 1)
+            lo, hi = int(lo_s), int(hi_s)
+        else:
+            lo = hi = int(spec)
+    except ValueError as exc:
+        raise GraphError(str(exc)) from None
     if hi < lo:
-        raise ValueError(f"empty range {spec!r}")
-    return list(range(lo, hi + 1))
+        raise GraphError(f"empty range {spec!r}")
+    return range(lo, hi + 1)
 
 
 def cmd_verify(args) -> int:
-    try:
-        ns = _parse_range(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # Reject every n up front, so a bad range end costs no work and no file.
+    ns = _parse_range(args.n)
+    # Reject every n up front, so a bad range end costs no work and no file;
+    # the first n past the cap ends the scan, however long the range.
     for n in ns:
         check_scope(universe_filter(args.theorem, n))
     out = sys.stdout
@@ -143,8 +143,7 @@ def cmd_verify(args) -> int:
         try:
             out = open(args.out, "w", encoding="ascii")
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
+            raise GraphError(f"cannot write {args.out}: {exc}") from None
     failed = False
     try:
         for n in ns:
@@ -168,8 +167,7 @@ def cmd_verify(args) -> int:
 
 def cmd_lemmas(args) -> int:
     if args.n < 1:
-        print(f"error: need n >= 1, got {args.n}", file=sys.stderr)
-        return 2
+        raise GraphError(f"need n >= 1, got {args.n}")
     report = verify_lemmas(args.n)
     if args.json:
         print(json.dumps(report.to_dict()))
@@ -243,15 +241,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
+    except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except Disconnected as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (TooLarge, HypothesisViolated) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, (FormatError, Disconnected)) else 2
 
 
 if __name__ == "__main__":

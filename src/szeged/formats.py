@@ -10,7 +10,8 @@ from .graphs import Graph, adjacency_bits, build_graph, graph_from_bits
 def parse_edgelist(text: str) -> Graph:
     """Parse "n m" followed by m lines "u v" with 0 <= u < v < n.
 
-    Raises FormatError on any deviation, including duplicate edges.
+    Raises FormatError on any deviation, including duplicate edges, and on
+    n > GRAPH6_MAX_N, the bound on graph6 input, before any graph is built.
     """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -26,6 +27,8 @@ def parse_edgelist(text: str) -> Graph:
         raise FormatError(f"non-integer header {lines[0]!r}") from None
     if n < 1 or m < 0:
         raise FormatError(f"bad counts n={n} m={m}")
+    if n > _canon.GRAPH6_MAX_N:
+        raise FormatError(f"edgelist input supported for n <= {_canon.GRAPH6_MAX_N} only")
     if len(lines) - 1 != m:
         raise FormatError(f"expected {m} edge lines, got {len(lines) - 1}")
     edges = []

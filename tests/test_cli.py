@@ -4,22 +4,31 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import time
 
 import pytest
 
+import oracles
 from szeged import (
     BoundValue,
     VerificationReport,
+    apsp,
+    build_graph,
+    complete_graph,
     cycle_graph,
     emit_edgelist,
+    index_report,
     parse_graph6,
     path_graph,
+    pi,
 )
 from szeged.cli import PAIRS_MAX_WORK, main
 from szeged.invariants import INDEX_MAX_N
 
 C5_TEXT = emit_edgelist(cycle_graph(5))
+RANDOM_GRAPH = build_graph(*oracles.random_connected_graph(random.Random(11),
+                                                           max_n=16, min_n=12))
 
 
 def path_over_pairs_budget():
@@ -88,6 +97,38 @@ class TestCompute:
         assert sum(p["pi"] for p in got["pairs"]) == got["gap_sz"]
         for p in got["pairs"]:
             assert len(p["mu_edges"]) == p["d"] + p["pi"]
+
+    @pytest.mark.parametrize("g", [
+        build_graph(1, []), cycle_graph(5), complete_graph(5), path_graph(30),
+        RANDOM_GRAPH,
+    ], ids=["K1", "C5", "K5", "P30", "random"])
+    def test_pairs_json_is_one_dumps_of_the_payload(self, capsys, monkeypatch, g):
+        dm = apsp(g)
+        payload = index_report(g).to_dict()
+        payload["pairs"] = [
+            {"x": x, "y": y, "d": dm[x][y],
+             "mu_edges": [list(e) for e in pc.mu_edges], "pi": pc.pi}
+            for x in range(g.n) for y in range(x + 1, g.n)
+            for pc in [pi(g, dm, x, y)]
+        ]
+        code, out, _ = run(capsys, monkeypatch, ["compute", "--json", "--pairs"],
+                           stdin=emit_edgelist(g))
+        assert code == 0 and out == json.dumps(payload) + "\n"
+
+    def test_pairs_text_has_one_line_per_pair(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, monkeypatch, ["compute", "--pairs"],
+                           stdin=emit_edgelist(path_graph(30)))
+        lines = out.splitlines()
+        rows = lines[lines.index("pair contributions:") + 1:]
+        assert code == 0 and len(rows) == 30 * 29 // 2
+        assert rows[0] == "  (0,1) d=1 pi=0 edges=[(0, 1)]"
+        assert rows[-1] == "  (28,29) d=1 pi=0 edges=[(28, 29)]"
+
+    @pytest.mark.parametrize("argv", [["compute", "--pairs"],
+                                      ["compute", "--json", "--pairs"]])
+    def test_pairs_on_disconnected_prints_nothing(self, capsys, monkeypatch, argv):
+        code, out, err = run(capsys, monkeypatch, argv, stdin="4 2\n0 1\n2 3\n")
+        assert code == 3 and out == "" and err.startswith("error:")
 
     def test_disconnected_is_unusable_input(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["compute"],
@@ -339,12 +380,26 @@ class TestExitCodes:
         # "~~" starts the eight-byte vertex count, n = 258048 here.
         (["convert", "--from", "graph6", "--to", "edgelist"], "~~???~??\n", 3),
         (["compute", "--pairs"], path_over_pairs_budget(), 2),
+        (["construct", "--family", "cycle-tree", "--cycle", "5"], None, 2),
+        (["construct", "--family", "c5-two-trees", "--t2", "2"], None, 2),
+        (["verify", "--theorem", "thm1", "--n", "x"], None, 2),
+        (["verify", "--theorem", "thm1", "--n", "5.."], None, 2),
+        # A lazy range: the first n past the cap ends the scope check.
+        (["verify", "--theorem", "thm3", "--n", "5..1000000000000000000"], None, 2),
+        # The edgelist header is bounded like graph6 input, before any graph.
+        (["compute"], "10000000 0\n", 3),
+        (["convert", "--from", "edgelist", "--to", "graph6"], "258048 0\n", 3),
     ], ids=["lemmas-zero", "lemmas-negative", "verify-unwritable-out",
-            "convert-graph6-too-long", "compute-pairs-over-budget"])
+            "convert-graph6-too-long", "compute-pairs-over-budget",
+            "construct-cycle-tree-missing-tree", "construct-two-trees-missing-t1",
+            "verify-n-not-a-number", "verify-n-open-range", "verify-n-huge-range",
+            "compute-edgelist-too-long", "convert-edgelist-too-long"])
     def test_exit_code(self, capsys, monkeypatch, argv, stdin, want):
+        t0 = time.perf_counter()
         code, out, err = run(capsys, monkeypatch, argv, stdin=stdin)
+        assert time.perf_counter() - t0 < 1
         assert code == want
-        assert out == "" and err.startswith("error:")
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
     def test_range_out_of_scope_fails_before_any_work(self, capsys, monkeypatch,
                                                       tmp_path):

@@ -60,6 +60,20 @@ class TestEdgelist:
         with pytest.raises(FormatError):
             parse_edgelist(text)
 
+    @pytest.mark.parametrize("n", [258048, 10**7, 10**18])
+    def test_vertex_count_over_graph6_bound_refused_before_building(
+            self, monkeypatch, n):
+        def no_build(*args):
+            raise AssertionError("graph built before the vertex count was checked")
+
+        monkeypatch.setattr("szeged.formats.build_graph", no_build)
+        with pytest.raises(FormatError, match="258047"):
+            parse_edgelist(f"{n} 0\n")
+
+    def test_vertex_count_bound_is_inclusive(self):
+        g = parse_edgelist("258047 1\n258045 258046\n")
+        assert (g.n, g.m) == (258047, 1)
+
     def test_random_round_trips(self):
         rng = random.Random(3)
         for _ in range(50):
