@@ -7,14 +7,22 @@ code; the canonical code is the smallest code over all vertex relabelings.
 Whole batches of rows are swept through all n! relabelings in blocks of at
 most MAX_TABLE_N!: each block's relabeled codes are one exact float64 matrix
 product of the gathered bit rows with a table of powers of two.
+
+numpy is imported by the batch functions themselves, on the first level
+built: codes, slots and graph6 strings are plain Python ints and bytes, so
+a process that never enumerates never loads it.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from functools import lru_cache
+from math import isqrt
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Weight tables cover at most MAX_TABLE_N! = 5,040 permutations (1.8 MB at
 # n = 10); larger n sweeps n!/MAX_TABLE_N! blocks of them, one per choice of
@@ -27,6 +35,9 @@ _BATCH_BYTES = 2**24  # float64 codes one (rows, permutations) product may hold
 # Largest n of graph6's four-byte vertex count; beyond it the eight-byte
 # form would be needed.
 GRAPH6_MAX_N = 258047
+# graph6 digits are the six-bit values 0..63 written as bytes 63..126.
+_GRAPH6_DIGITS = bytes(range(63, 127))
+_TO_DIGIT = bytes((b + 63) % 256 for b in range(256))
 
 
 def num_pairs(n: int) -> int:
@@ -38,6 +49,18 @@ def pair_index(i: int, j: int) -> int:
     if i > j:
         i, j = j, i
     return j * (j - 1) // 2 + i
+
+
+def pair_at(slot: int) -> tuple[int, int]:
+    """Pair (i, j), i < j, at a column-order position; inverse of pair_index."""
+    j = (1 + isqrt(8 * slot + 1)) // 2
+    return slot - j * (j - 1) // 2, j
+
+
+def code_slots(code: int, n: int) -> list[int]:
+    """Column-order positions of the set bits of an m-bit code, ascending."""
+    m = num_pairs(n)
+    return [s for s in range(m) if code >> (m - 1 - s) & 1]
 
 
 @lru_cache(maxsize=None)
@@ -52,6 +75,8 @@ def _pair_slots(images: np.ndarray, n: int) -> np.ndarray:
     images is (n, P) int8, one vertex map per column; the result is (m, P)
     int16, the slot of {hi, lo} (hi > lo) being hi*(hi-1)//2 + lo.
     """
+    import numpy as np
+
     pairs = np.array(pair_list(n), dtype=np.intp).reshape(-1, 2)
     a, b = images[pairs[:, 0]], images[pairs[:, 1]]
     slot = np.maximum(a, b, dtype=np.int16)
@@ -70,6 +95,8 @@ def _weights(n: int) -> np.ndarray:
     Wt[s, p] = 2^(m-1-t) where permutation p moves source slot s to target
     slot t, so bits @ Wt holds every such relabeled code of every row.
     """
+    import numpy as np
+
     k = max(0, n - MAX_TABLE_N)
     images = [tuple(range(k)) + tail for tail in itertools.permutations(range(k, n))]
     m = num_pairs(n)
@@ -86,6 +113,8 @@ def _block_sources(n: int) -> np.ndarray:
     _weights(n) yields every one of the n! relabelings exactly once.  Up
     to MAX_TABLE_N there is one block, the identity.
     """
+    import numpy as np
+
     k = max(0, n - MAX_TABLE_N)
     images = [head + tuple(v for v in range(n) if v not in head)
               for head in itertools.permutations(range(n), k)]
@@ -94,6 +123,8 @@ def _block_sources(n: int) -> np.ndarray:
 
 def unpack_code(code: int, n: int) -> np.ndarray:
     """Column-order bit row of an m-bit code."""
+    import numpy as np
+
     m = num_pairs(n)
     return ((int(code) >> np.arange(m - 1, -1, -1)) & 1).astype(np.uint8)
 
@@ -106,6 +137,8 @@ def min_codes(bits: np.ndarray, n: int) -> np.ndarray:
     are chunked so that no (rows, permutations) product exceeds roughly
     _BATCH_BYTES.
     """
+    import numpy as np
+
     bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
     b, m = bits.shape
     if m != num_pairs(n):
@@ -124,49 +157,52 @@ def min_codes(bits: np.ndarray, n: int) -> np.ndarray:
     return best.astype(np.int64)
 
 
-def graph6_bytes_from_bits(n: int, bits: np.ndarray) -> bytes:
-    """graph6 encoding of a labeled graph given as a column-order bit row.
+def graph6_bytes(n: int, slots) -> bytes:
+    """graph6 encoding of the labeled graph whose set column-order pairs are slots.
 
     n <= 62 takes one header byte, n up to GRAPH6_MAX_N the long form:
-    '~' and n in three 6-bit bytes.
+    '~' and n in three 6-bit bytes.  Only the set pairs are visited.
     """
     if not 0 <= n <= GRAPH6_MAX_N:
         raise ValueError(f"graph6 output supported for 0 <= n <= {GRAPH6_MAX_N} only")
     head = [n] if n <= 62 else [63, n >> 12, (n >> 6) & 63, n & 63]
-    row = np.asarray(bits, dtype=np.uint8)
-    six = np.concatenate([row, np.zeros(-len(row) % 6, np.uint8)]).reshape(-1, 6)
-    body = six @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
-    return (np.array(head, dtype=np.uint8) + 63).tobytes() + (body + 63).tobytes()
+    body = bytearray((num_pairs(n) + 5) // 6)
+    for s in slots:
+        body[s // 6] |= 32 >> s % 6
+    return bytes(head).translate(_TO_DIGIT) + body.translate(_TO_DIGIT)
 
 
-def bits_from_graph6_bytes(data: bytes) -> tuple[int, np.ndarray]:
-    """Decode a graph6 byte string to (n, column-order bit row).
+def graph6_slots(data: bytes) -> tuple[int, list[int]]:
+    """Decode a graph6 byte string to (n, set column-order pairs, ascending).
 
-    Raises ValueError on bad length, out-of-range bytes, nonzero padding,
-    or a vertex count outside 0..GRAPH6_MAX_N in its shortest form.
+    Only the nonzero body bytes are unpacked.  Raises ValueError on bad
+    length, out-of-range bytes, nonzero padding, or a vertex count outside
+    0..GRAPH6_MAX_N in its shortest form.
     """
     if data.startswith(b">>graph6<<"):
         data = data[len(b">>graph6<<"):]
     if not data:
         raise ValueError("empty graph6 string")
-    values = np.frombuffer(data, dtype=np.uint8).astype(np.int16) - 63
-    if ((values < 0) | (values > 63)).any():
+    if data.translate(None, _GRAPH6_DIGITS):
         raise ValueError("graph6 byte out of range")
-    if values[0] < 63:
-        n, body = int(values[0]), values[1:]
-    elif len(values) < 4:
+    if data[0] < 126:
+        n, body = data[0] - 63, data[1:]
+    elif len(data) < 4:
         raise ValueError("truncated graph6 vertex count")
-    elif values[1] == 63:
+    elif data[1] == 126:
         raise ValueError(f"graph6 input supported for n <= {GRAPH6_MAX_N} only")
     else:
-        n = (int(values[1]) << 12) | (int(values[2]) << 6) | int(values[3])
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
         if n <= 62:
             raise ValueError("graph6 long form used for n <= 62")
-        body = values[4:]
+        body = data[4:]
     m = num_pairs(n)
     if len(body) != (m + 5) // 6:
         raise ValueError("graph6 body has wrong length")
-    bits = ((body[:, None] >> np.arange(5, -1, -1)) & 1).astype(np.uint8).ravel()
-    if bits[m:].any():
+    slots = []
+    for digit in re.finditer(rb"[^?]", body):  # '?' is the zero digit
+        value, base = body[digit.start()] - 63, 6 * digit.start()
+        slots.extend(base + b for b in range(6) if value >> (5 - b) & 1)
+    if slots and slots[-1] >= m:
         raise ValueError("nonzero graph6 padding bits")
-    return n, bits[:m]
+    return n, slots

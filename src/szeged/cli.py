@@ -5,14 +5,16 @@ family member, verify a bound exhaustively, run the lemma checks, and
 convert between the two graph formats.  JSON output is the stable machine
 interface; the human-readable output may change between versions.
 
-Exit codes: 0 success, 1 verification found violations, 2 bad arguments,
-3 malformed or unusable input.
+Exit codes: 0 success, 1 verification found violations, 2 bad arguments
+or a standard output closed before all was written, 3 malformed or
+unusable input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -240,7 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the flush at interpreter exit
+        # cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed before all was written", file=sys.stderr)
+        return 2
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, (FormatError, Disconnected)) else 2

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _canon
 from .errors import TooLarge
-from .graphs import Graph, apsp, girth, graph_from_bits, is_bipartite, is_connected
+from .graphs import Graph, apsp, girth, graph_from_slots, is_bipartite, is_connected
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_N = 8
 MAX_N_PRUNED = 9  # girth-pruned lanes stay tiny one level further
@@ -76,13 +78,14 @@ def check_scope(filt: UniverseFilter) -> None:
 
 def graph_from_code(n: int, code: int) -> Graph:
     """Graph in canonical labeling from its m-bit canonical code."""
-    m = _canon.num_pairs(n)
-    return graph_from_bits(n, [code >> s & 1 for s in range(m - 1, -1, -1)])
+    return graph_from_slots(n, _canon.code_slots(code, n))
 
 
 def _valid_columns(parent: Graph, lane: tuple[int, bool]) -> list[int]:
     """Nonempty neighbor subsets (bitmasks, ascending) the lane allows."""
     girth_k, bip = lane
+    if not (girth_k or bip):  # no conflict rule: every nonempty subset
+        return list(range(1, 1 << parent.n))
     # Joining the new vertex to two old ones at distance d closes a cycle
     # of length d + 2: the girth lane forbids d <= girth_k - 3, the
     # bipartite lane odd d.
@@ -105,12 +108,14 @@ def _children_rows(parent_codes, child_n: int, lane: tuple[int, bool]) -> np.nda
     The new vertex's column occupies the last k slots: pair (i, child_n - 1)
     sits at index num_pairs(k) + i.
     """
+    import numpy as np
+
     k = child_n - 1
     shifts = np.arange(k)
     blocks = []
     for code in parent_codes:
         pbits = _canon.unpack_code(code, k)
-        cols = np.array(_valid_columns(graph_from_bits(k, pbits), lane))
+        cols = np.array(_valid_columns(graph_from_code(k, code), lane))
         new = ((cols[:, None] >> shifts) & 1).astype(np.uint8)
         blocks.append(np.hstack([np.tile(pbits, (len(cols), 1)), new]))
     return np.vstack(blocks)
@@ -126,6 +131,8 @@ def _deletion_candidates(rows: np.ndarray, n: int) -> np.ndarray:
     that beat the new one are tested for being non-cut: a bitmask
     closure of G - w from the lowest vertex other than w.
     """
+    import numpy as np
+
     pairs = np.array(_canon.pair_list(n), dtype=np.intp).reshape(-1, 2)
     adj = np.zeros((len(rows), n, n), dtype=np.uint8)
     adj[:, pairs[:, 0], pairs[:, 1]] = rows

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from . import _canon
 from .errors import FormatError, GraphError
-from .graphs import Graph, adjacency_bits, build_graph, graph_from_bits
+from .graphs import Graph, build_graph, graph_from_slots
 
 
 def parse_edgelist(text: str) -> Graph:
@@ -65,12 +65,12 @@ def parse_graph6(data: bytes | str) -> Graph:
             raise FormatError("graph6 input must be ASCII") from None
     data = data.strip()
     try:
-        n, bits = _canon.bits_from_graph6_bytes(data)
+        n, slots = _canon.graph6_slots(data)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
     if n < 1:
         raise FormatError("graph must have at least one vertex")
-    return graph_from_bits(n, bits)
+    return graph_from_slots(n, slots)
 
 
 def emit_graph6(g: Graph) -> bytes:
@@ -80,4 +80,4 @@ def emit_graph6(g: Graph) -> bytes:
     """
     if g.n > _canon.GRAPH6_MAX_N:
         raise FormatError(f"graph6 output supported for n <= {_canon.GRAPH6_MAX_N} only")
-    return _canon.graph6_bytes_from_bits(g.n, adjacency_bits(g))
+    return _canon.graph6_bytes(g.n, (_canon.pair_index(u, v) for u, v in g.edges))

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import oracles
+import szeged
 from szeged import (
     BoundValue,
     VerificationReport,
@@ -37,6 +42,14 @@ def path_over_pairs_budget():
     while n * (n - 1) // 2 * (n - 1) <= PAIRS_MAX_WORK:
         n += 1
     return emit_edgelist(path_graph(n))
+
+
+# A new interpreter that imports this checkout's szeged.
+COLD_ENV = {**os.environ, "PYTHONPATH": str(Path(szeged.__file__).resolve().parents[1])}
+
+
+def cold(args, **kwargs):
+    return subprocess.run([sys.executable, *args], env=COLD_ENV, **kwargs)
 
 
 def run(capsys, monkeypatch, argv, stdin=None):
@@ -415,3 +428,67 @@ class TestExitCodes:
         assert time.perf_counter() - t0 < 1
         assert code == 2 and out == "" and err.startswith("error:")
         assert not path.exists()
+
+
+class TestClosedOutput:
+    """A reader that closes stdout early gets exit 2 and one error line."""
+
+    def test_reader_closing_after_two_lines(self):
+        # 400 kB of pair table: more than a pipe holds, so the writer
+        # is still writing when the reader leaves.
+        proc = subprocess.Popen([sys.executable, "-m", "szeged.cli", "compute", "--pairs"],
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=COLD_ENV)
+        proc.stdin.write(emit_edgelist(path_graph(60)).encode("ascii"))
+        proc.stdin.close()
+        assert proc.stdout.readline() == b"n: 60\n"
+        proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_reader_closed_before_the_first_write(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = cold(["-m", "szeged.cli", "verify", "--theorem", "thm3", "--n", "5..7"],
+                        stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+# Runs main(argv) in a new interpreter, then reports the numpy modules loaded.
+NUMPY_PROBE = """
+import sys
+import szeged, szeged.cli
+if len(sys.argv) > 1:
+    szeged.cli.main(sys.argv[1:])
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "numpy"), file=sys.stderr)
+"""
+
+
+class TestNumpyOnlyToEnumerate:
+    @pytest.mark.parametrize("argv,stdin", [
+        ([], None),
+        (["compute", "--json", "--pairs"], C5_TEXT),
+        (["compute", "--format", "graph6"], "DBw\n"),
+        (["convert", "--from", "graph6", "--to", "edgelist"], "DBw\n"),
+        (["convert", "--from", "edgelist", "--to", "graph6"], C5_TEXT),
+        (["construct", "--family", "c5-two-trees", "--t1", "3", "--t2", "4",
+          "--seed", "1", "--format", "graph6"], None),
+    ], ids=["import", "compute", "compute-graph6", "convert-from-graph6",
+            "convert-to-graph6", "construct"])
+    def test_not_loaded(self, argv, stdin):
+        proc = cold(["-c", NUMPY_PROBE, *argv], input=stdin, capture_output=True,
+                    text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "[]"
+
+    def test_enumerating_loads_it(self):
+        proc = cold(["-c", NUMPY_PROBE, "lemmas", "--n", "4"], capture_output=True,
+                    text=True, timeout=60)
+        assert "'numpy'" in proc.stderr.splitlines()[-1]

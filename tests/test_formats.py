@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
 import oracles
+from szeged import _canon
 from szeged import (
     FormatError,
     build_graph,
@@ -111,6 +113,7 @@ class TestGraph6:
         "Dh\x1f",       # byte below printable range
         "Dh\x7f",       # byte above printable range
         "A@",           # nonzero padding bits for n = 2
+        "Bh",           # nonzero padding bits for n = 3, pairs set too
         "?",            # n = 0
         "~??",          # truncated long-form vertex count
         "~??}",         # long form for n = 62
@@ -132,6 +135,15 @@ class TestGraph6:
         g = build_graph(n, edges)
         assert emit_graph6(g) == want
         assert parse_graph6(want) == g
+
+    def test_large_path_round_trips_from_its_set_bits(self):
+        # 12.5 M pairs, 4,999 set: neither direction visits every pair.
+        g = path_graph(5000)
+        before = _canon.pair_list.cache_info().currsize
+        t0 = time.perf_counter()
+        assert parse_graph6(emit_graph6(g)) == g
+        assert time.perf_counter() - t0 < 2
+        assert _canon.pair_list.cache_info().currsize == before
 
     def test_beyond_long_form_rejected(self):
         with pytest.raises(FormatError):
