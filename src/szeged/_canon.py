@@ -8,9 +8,9 @@ Whole batches of rows are swept through all n! relabelings in blocks of at
 most MAX_TABLE_N!: each block's relabeled codes are one exact float64 matrix
 product of the gathered bit rows with a table of powers of two.
 
-numpy is imported by the batch functions themselves, on the first level
-built: codes, slots and graph6 strings are plain Python ints and bytes, so
-a process that never enumerates never loads it.
+numpy is imported by the batch functions themselves, on the first
+canonization: codes, slots and graph6 strings are plain Python ints and
+bytes, so a process that never canonizes never loads it.
 """
 
 from __future__ import annotations

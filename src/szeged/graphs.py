@@ -14,9 +14,7 @@ from .errors import (
     VertexOutOfRange,
 )
 
-# canonical_form's prefix search has no polynomial bound (vertex-transitive
-# graphs keep many labelings alive), and its codes must equal the batch
-# sweep's, which are exact in float64 up to n = 10; beyond this it is refused.
+# canonical_form sweeps all n! labelings; beyond this it is refused.
 CANON_MAX_N = 10
 
 
@@ -390,60 +388,14 @@ def graph_from_slots(n: int, slots) -> Graph:
     return Graph(n, tuple(sorted(map(_canon.pair_at, slots))))
 
 
-def _min_code(g: Graph) -> int:
-    """Smallest code over all relabelings, by a lex-min prefix search.
-
-    Relabeled, the code is the columns of the vertices in their new order,
-    each column holding the vertex's adjacency to those placed before it,
-    first placed as top bit.  Columns have fixed widths, so the smallest
-    code places, at each depth, a vertex whose column is the smallest
-    over every labeling still tied.  A state is one tied prefix, kept as
-    each vertex's column against it (`done` once placed).  Two prunings are
-    exact.  States with the same key (the same placed set and the same
-    columns for the vertices not yet placed) have the same futures, so
-    one is kept.  A candidate with the same column and the same unplaced
-    neighbours, apart from each other, as one already tried is its twin:
-    swapping the two is an automorphism fixing the prefix, so it adds
-    nothing.
-    """
-    n = g.n
-    done = 1 << n  # above every column, so min() skips placed vertices
-    nbrs = [sum(1 << v for v in row) for row in g.adj]
-    states = {(0,) * n: (1 << n) - 1}  # columns -> unplaced vertex set
-    code = 0
-    for depth in range(n):
-        best = min(min(cols) for cols in states)
-        code = code << depth | best
-        grown = {}
-        for cols, free in states.items():
-            tried = set()
-            for u, col in enumerate(cols):
-                if col != best:  # also skips placed vertices
-                    continue
-                # Every candidate's column is best, so a twin shares
-                # N(u) & free if not adjacent to u, or N(u) & free plus
-                # u if adjacent; one vertex's first key never equals
-                # another's second.
-                rest = nbrs[u] & free
-                if rest in tried or rest | 1 << u in tried:
-                    continue
-                tried.add(rest)
-                tried.add(rest | 1 << u)
-                row = nbrs[u]
-                key = tuple(done if v == u or c == done else c << 1 | row >> v & 1
-                            for v, c in enumerate(cols))
-                grown[key] = free & ~(1 << u)
-        states = grown
-    return code
-
-
 def canonical_form(g: Graph) -> bytes:
     """Smallest adjacency-bit string over all relabelings, as graph6 bytes.
 
-    Equal strings iff isomorphic.  The code is the one the batch sweep
-    (_canon.min_codes) gives, found by the prefix search of _min_code on
-    Python ints; refused (TooLarge) beyond n = CANON_MAX_N.
+    Equal strings iff isomorphic.  Brute force over n! labelings (the batch
+    sweep of _canon.min_codes, which loads numpy), so refused (TooLarge)
+    beyond n = 10.
     """
     if g.n > CANON_MAX_N:
-        raise TooLarge(f"canonical form search capped at n = {CANON_MAX_N}; n={g.n}")
-    return _canon.graph6_bytes(g.n, _canon.code_slots(_min_code(g), g.n))
+        raise TooLarge(f"canonical form is brute force; n={g.n} > {CANON_MAX_N}")
+    code = int(_canon.min_codes([adjacency_bits(g)], g.n)[0])
+    return _canon.graph6_bytes(g.n, _canon.code_slots(code, g.n))

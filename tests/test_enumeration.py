@@ -9,12 +9,10 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from szeged import _canon, enumeration
-from szeged.graphs import CANON_MAX_N, _min_code
+from szeged.graphs import CANON_MAX_N
 from szeged import (
     TooLarge,
     UniverseFilter,
@@ -381,47 +379,6 @@ class TestMinCodes:
         with pytest.raises(ValueError):
             _canon.min_codes(np.zeros((1, _canon.num_pairs(11)), np.uint8), 11)
         assert time.perf_counter() - t0 < 1
-
-
-def table_code(g):
-    """The batch sweep's canonical code of g, one row."""
-    return int(_canon.min_codes(np.array([adjacency_bits(g)], np.uint8), g.n)[0])
-
-
-class TestPrefixSearch:
-    """canonical_form's prefix search gives the batch sweep's code."""
-
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_every_level_graph_in_two_labelings(self, n):
-        rng = random.Random(n)
-        for code in enumeration._level_codes(n, (0, False)):
-            g = graph_from_code(n, code)
-            for _ in range(2):
-                perm = list(range(n))
-                rng.shuffle(perm)
-                h = relabel(g, perm)
-                assert _min_code(h) == table_code(h) == code
-
-    def test_every_atlas_graph(self):
-        # Disconnected graphs too: isolated vertices and equal components
-        # are where twins and merged states are most common.
-        nx = pytest.importorskip("networkx")
-        for h in nx.graph_atlas_g():
-            if h.number_of_nodes():
-                g = build_graph(h.number_of_nodes(), list(h.edges))
-                assert _min_code(g) == table_code(g), sorted(h.edges)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_drawn_graphs_up_to_the_cap(self, data):
-        n = data.draw(st.integers(min_value=1, max_value=CANON_MAX_N))
-        density = data.draw(st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]))
-        rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32)))
-        g = build_graph(n, [p for p in itertools.combinations(range(n), 2)
-                            if rng.random() < density])
-        assert _min_code(g) == table_code(g)
-        assert canonical_form(g) == _canon.graph6_bytes(
-            n, _canon.code_slots(table_code(g), n))
 
 
 def naive_weight_columns(n):
