@@ -121,14 +121,6 @@ def _block_sources(n: int) -> np.ndarray:
     return _pair_slots(np.array(images, dtype=np.int8).T, n).T
 
 
-def unpack_code(code: int, n: int) -> np.ndarray:
-    """Column-order bit row of an m-bit code."""
-    import numpy as np
-
-    m = num_pairs(n)
-    return ((int(code) >> np.arange(m - 1, -1, -1)) & 1).astype(np.uint8)
-
-
 def min_codes(bits: np.ndarray, n: int) -> np.ndarray:
     """Canonical (minimal) code of each bit row under all vertex relabelings.
 

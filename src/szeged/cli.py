@@ -22,7 +22,7 @@ from ._canon import num_pairs
 from .enumeration import MAX_N, MAX_N_PRUNED, check_scope
 from .errors import Disconnected, FormatError, GraphError, TooLarge
 from .extremal import TreeSpec, c5_two_trees, cycle_with_tree
-from .formats import emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
+from .formats import emit_edgelist, emit_graph6, parse_decimal, parse_edgelist, parse_graph6
 from .graphs import Graph, apsp
 from .invariants import index_report, pi
 from .verify import THEOREMS, universe_filter, verify_lemmas, verify_theorem
@@ -121,14 +121,9 @@ def cmd_construct(args) -> int:
 
 
 def _parse_range(spec: str) -> range:
-    try:
-        if ".." in spec:
-            lo_s, hi_s = spec.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-        else:
-            lo = hi = int(spec)
-    except ValueError as exc:
-        raise GraphError(str(exc)) from None
+    lo_s, dots, hi_s = spec.partition("..")
+    lo = parse_decimal(lo_s)
+    hi = parse_decimal(hi_s) if dots else lo
     if hi < lo:
         raise GraphError(f"empty range {spec!r}")
     return range(lo, hi + 1)
@@ -168,9 +163,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    if args.n < 1:
-        raise GraphError(f"need n >= 1, got {args.n}")
-    report = verify_lemmas(args.n)
+    n = parse_decimal(args.n)
+    if n < 1:
+        raise GraphError(f"need n >= 1, got {n}")
+    report = verify_lemmas(n)
     if args.json:
         print(json.dumps(report.to_dict()))
     else:
@@ -226,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lemmas", help="structural lemma checks at one n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_lemmas)
 

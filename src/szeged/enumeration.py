@@ -4,9 +4,9 @@ The search grows graphs one vertex at a time over the adjacency upper
 triangle in column order: vertex k's column is a nonempty neighbor subset
 of the k vertices before it, added to a connected parent, so every level
 holds connected graphs only, deduplicated by canonical form.  Hereditary
-constraints (bipartite, no short cycles) prune subsets before they are
-generated; the non-hereditary filters (nonbipartite, edge count) run on
-the last level's representatives.
+constraints (bipartite, no short cycles) prune columns by the parents'
+distances in _children_rows; the non-hereditary filters (nonbipartite,
+edge count) run on the last level's representatives.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from . import _canon
 from .errors import TooLarge
-from .graphs import Graph, apsp, girth, graph_from_slots, is_bipartite, is_connected
+from .graphs import Graph, girth, graph_from_slots, is_bipartite, is_connected
 
 if TYPE_CHECKING:
     import numpy as np
@@ -81,44 +81,45 @@ def graph_from_code(n: int, code: int) -> Graph:
     return graph_from_slots(n, _canon.code_slots(code, n))
 
 
-def _valid_columns(parent: Graph, lane: tuple[int, bool]) -> list[int]:
-    """Nonempty neighbor subsets (bitmasks, ascending) the lane allows."""
-    girth_k, bip = lane
-    if not (girth_k or bip):  # no conflict rule: every nonempty subset
-        return list(range(1, 1 << parent.n))
-    # Joining the new vertex to two old ones at distance d closes a cycle
-    # of length d + 2: the girth lane forbids d <= girth_k - 3, the
-    # bipartite lane odd d.
-    conflict = [
-        sum(1 << v for v, d in enumerate(row)
-            if d and (d <= girth_k - 3 or (bip and d % 2)))
-        for row in apsp(parent).d
-    ]
-    # Grow the allowed subsets one vertex at a time; each new subset has
-    # bit u set and is checked against its lower vertices only.
-    out = [0]
-    for u, clash in enumerate(conflict):
-        out += [s | 1 << u for s in out if not s & clash]
-    return out[1:]
+def _adjacency(rows: np.ndarray, n: int) -> np.ndarray:
+    """(R, n, n) uint8 adjacency tensor of column-order bit rows."""
+    import numpy as np
+
+    i, j = np.array(_canon.pair_list(n), dtype=np.intp).reshape(-1, 2).T
+    adj = np.zeros((len(rows), n, n), dtype=np.uint8)
+    adj[:, i, j] = adj[:, j, i] = rows
+    return adj
 
 
 def _children_rows(parent_codes, child_n: int, lane: tuple[int, bool]) -> np.ndarray:
     """Bit rows of all one-vertex extensions the lane permits.
 
     The new vertex's column occupies the last k slots: pair (i, child_n - 1)
-    sits at index num_pairs(k) + i.
+    sits at index num_pairs(k) + i.  The lane's conflict rule lives here:
+    joining the new vertex to two old ones at distance d closes a cycle of
+    length d + 2, so no column may hold a pair at d <= girth_k - 3, nor, in
+    the bipartite lane, at odd d.
     """
     import numpy as np
 
     k = child_n - 1
-    shifts = np.arange(k)
-    blocks = []
-    for code in parent_codes:
-        pbits = _canon.unpack_code(code, k)
-        cols = np.array(_valid_columns(graph_from_code(k, code), lane))
-        new = ((cols[:, None] >> shifts) & 1).astype(np.uint8)
-        blocks.append(np.hstack([np.tile(pbits, (len(cols), 1)), new]))
-    return np.vstack(blocks)
+    girth_k, bip = lane
+    i, j = np.array(_canon.pair_list(k), dtype=np.intp).reshape(-1, 2).T
+    shifts = np.arange(len(i) - 1, -1, -1)  # the first pair is the top bit
+    parents = ((np.array(parent_codes, np.int64)[:, None] >> shifts) & 1).astype(np.uint8)
+    adj = _adjacency(parents, k).astype(bool)
+    front, seen = adj, adj | np.eye(k, dtype=bool)
+    forbid = np.zeros_like(adj)
+    for d in range(1, min(k - 1 if bip else girth_k - 3, k - 1) + 1):
+        if d > 1:  # front: the pairs at distance d, one product per d
+            front = (front @ adj) & ~seen
+            seen |= front
+        if d <= girth_k - 3 or (bip and d % 2):
+            forbid |= front
+    cols = ((np.arange(1, 1 << k)[:, None] >> np.arange(k)) & 1).astype(np.uint8)
+    clash = forbid[:, i, j] @ (cols[:, i] & cols[:, j]).T.astype(bool)
+    p, c = np.nonzero(~clash)
+    return np.hstack([parents[p], cols[c]])
 
 
 def _deletion_candidates(rows: np.ndarray, n: int) -> np.ndarray:
@@ -133,10 +134,7 @@ def _deletion_candidates(rows: np.ndarray, n: int) -> np.ndarray:
     """
     import numpy as np
 
-    pairs = np.array(_canon.pair_list(n), dtype=np.intp).reshape(-1, 2)
-    adj = np.zeros((len(rows), n, n), dtype=np.uint8)
-    adj[:, pairs[:, 0], pairs[:, 1]] = rows
-    adj[:, pairs[:, 1], pairs[:, 0]] = rows
+    adj = _adjacency(rows, n)
     deg = adj.sum(axis=2, dtype=np.int16)
     # Neighbour-degree sums stay below n * n, so this orders keys
     # lexicographically.

@@ -7,6 +7,13 @@ from .errors import FormatError, GraphError
 from .graphs import Graph, build_graph, graph_from_slots
 
 
+def parse_decimal(token: str) -> int:
+    """Value of a token of ASCII digits only, which int() alone does not enforce."""
+    if not (token.isascii() and token.isdigit()):
+        raise GraphError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def parse_edgelist(text: str) -> Graph:
     """Parse "n m" followed by m lines "u v" with 0 <= u < v < n.
 
@@ -22,11 +29,11 @@ def parse_edgelist(text: str) -> Graph:
     if len(head) != 2:
         raise FormatError(f"header must be 'n m', got {lines[0]!r}")
     try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
+        n, m = parse_decimal(head[0]), parse_decimal(head[1])
+    except GraphError:
         raise FormatError(f"non-integer header {lines[0]!r}") from None
-    if n < 1 or m < 0:
-        raise FormatError(f"bad counts n={n} m={m}")
+    if n < 1:
+        raise FormatError("graph must have at least one vertex")
     if n > _canon.GRAPH6_MAX_N:
         raise FormatError(f"edgelist input supported for n <= {_canon.GRAPH6_MAX_N} only")
     if len(lines) - 1 != m:
@@ -37,8 +44,8 @@ def parse_edgelist(text: str) -> Graph:
         if len(parts) != 2:
             raise FormatError(f"edge line must be 'u v', got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
+            u, v = parse_decimal(parts[0]), parse_decimal(parts[1])
+        except GraphError:
             raise FormatError(f"non-integer edge line {line!r}") from None
         if not 0 <= u < v < n:
             raise FormatError(f"edge ({u}, {v}) violates 0 <= u < v < {n}")

@@ -402,11 +402,25 @@ class TestExitCodes:
         # The edgelist header is bounded like graph6 input, before any graph.
         (["compute"], "10000000 0\n", 3),
         (["convert", "--from", "edgelist", "--to", "graph6"], "258048 0\n", 3),
+        # Counts and vertices are ASCII decimal only, as in a file.
+        (["compute", "--json"], "\u0663 2\n0 1\n1 2\n", 3),
+        (["compute", "--json"], "1_0 0\n", 3),
+        (["compute", "--json"], "+3 2\n0 1\n1 2\n", 3),
+        (["compute", "--json"], "3 2\n0 1\n1 +2\n", 3),
+        (["lemmas", "--n", "\u0663"], None, 2),
+        (["lemmas", "--n", "1_0"], None, 2),
+        (["lemmas", "--n", "+3"], None, 2),
+        (["verify", "--theorem", "thm3", "--n", "5..\u0666"], None, 2),
+        (["verify", "--theorem", "thm3", "--n", "+5"], None, 2),
     ], ids=["lemmas-zero", "lemmas-negative", "verify-unwritable-out",
             "convert-graph6-too-long", "compute-pairs-over-budget",
             "construct-cycle-tree-missing-tree", "construct-two-trees-missing-t1",
             "verify-n-not-a-number", "verify-n-open-range", "verify-n-huge-range",
-            "compute-edgelist-too-long", "convert-edgelist-too-long"])
+            "compute-edgelist-too-long", "convert-edgelist-too-long",
+            "compute-header-arabic-digit", "compute-header-underscore",
+            "compute-header-plus", "compute-edge-plus", "lemmas-n-arabic-digit",
+            "lemmas-n-underscore", "lemmas-n-plus", "verify-n-arabic-digit",
+            "verify-n-plus"])
     def test_exit_code(self, capsys, monkeypatch, argv, stdin, want):
         t0 = time.perf_counter()
         code, out, err = run(capsys, monkeypatch, argv, stdin=stdin)

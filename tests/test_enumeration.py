@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from szeged import _canon, enumeration
-from szeged.graphs import CANON_MAX_N
+from szeged.graphs import CANON_MAX_N, graph_from_slots
 from szeged import (
     TooLarge,
     UniverseFilter,
@@ -180,18 +180,38 @@ def test_children_rows_are_distinct(lane):
         assert len(np.unique(rows, axis=0)) == len(rows)
 
 
-def test_unrestricted_lane_takes_every_column_without_distances(monkeypatch):
-    # Girth threshold 3 forbids no distance, so the conflict rule runs
-    # through apsp and must allow every nonempty subset too.
-    graphs = [graph_from_code(k, c) for k in range(1, 7)
-              for c in enumeration._level_codes(k, (0, False))]
-    want = [enumeration._valid_columns(g, (3, False)) for g in graphs]
+def referee_children(parent_codes, k, lane):
+    """Every (parent, nonempty column) row whose child graph stays in the lane.
 
-    def no_distances(g):
-        raise AssertionError("apsp called in the unrestricted lane")
+    Each child is built as a Graph and judged by girth and is_bipartite.
+    """
+    girth_k, bip = lane
+    m = _canon.num_pairs(k)
+    out = set()
+    for code in parent_codes:
+        parent = _canon.code_slots(code, k)
+        for col in range(1, 1 << k):
+            slots = parent + [m + i for i in range(k) if col >> i & 1]
+            child = graph_from_slots(k + 1, slots)
+            length = girth(child).length
+            if girth_k and length is not None and length < girth_k:
+                continue
+            if bip and not is_bipartite(child):
+                continue
+            row = [0] * (m + k)
+            for s in slots:
+                row[s] = 1
+            out.add(tuple(row))
+    return out
 
-    monkeypatch.setattr(enumeration, "apsp", no_distances)
-    assert [enumeration._valid_columns(g, (0, False)) for g in graphs] == want
+
+@pytest.mark.parametrize("lane", [(0, False), (0, True), (4, False), (5, False),
+                                  (6, False), (6, True)])
+def test_children_rows_match_referee(lane):
+    for k in range(1, 7):
+        parents = enumeration._level_codes(k, lane)
+        rows = enumeration._children_rows(parents, k + 1, lane)
+        assert set(map(tuple, rows.tolist())) == referee_children(parents, k, lane)
 
 
 LANES = [(0, False), (0, True), (4, False), (5, False)]
@@ -249,6 +269,8 @@ ATLAS_FILTERS = {
     "girth5": lambda n: UniverseFilter(n, min_girth=5),
     "thm1": lambda n: UniverseFilter(n, bipartite="no", min_girth=5),
     "thm2": lambda n: UniverseFilter(n, bipartite="yes", min_edges=n),
+    "girth6": lambda n: UniverseFilter(n, min_girth=6),
+    "bipartite-girth6": lambda n: UniverseFilter(n, bipartite="yes", min_girth=6),
 }
 
 
