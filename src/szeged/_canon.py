@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left
 from functools import lru_cache
 from math import isqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
     import numpy as np
@@ -35,6 +36,7 @@ _BATCH_BYTES = 2**24  # float64 codes one (rows, permutations) product may hold
 # Largest n of graph6's four-byte vertex count; beyond it the eight-byte
 # form would be needed.
 GRAPH6_MAX_N = 258047
+_CHUNK_BYTES = 2**20  # graph6 body bytes encoded at a time
 # graph6 digits are the six-bit values 0..63 written as bytes 63..126.
 _GRAPH6_DIGITS = bytes(range(63, 127))
 _TO_DIGIT = bytes((b + 63) % 256 for b in range(256))
@@ -149,19 +151,29 @@ def min_codes(bits: np.ndarray, n: int) -> np.ndarray:
     return best.astype(np.int64)
 
 
-def graph6_bytes(n: int, slots) -> bytes:
+def graph6_chunks(n: int, slots) -> Iterator[bytes]:
     """graph6 encoding of the labeled graph whose set column-order pairs are slots.
 
     n <= 62 takes one header byte, n up to GRAPH6_MAX_N the long form:
-    '~' and n in three 6-bit bytes.  Only the set pairs are visited.
+    '~' and n in three 6-bit bytes.  The header comes first, then the body
+    in pieces of at most _CHUNK_BYTES, so memory stays at one piece however
+    large the body (5.5 GB of it at GRAPH6_MAX_N).  Only the set pairs are
+    visited.  ValueError, at the first piece, outside 0 <= n <= GRAPH6_MAX_N.
     """
     if not 0 <= n <= GRAPH6_MAX_N:
         raise ValueError(f"graph6 output supported for 0 <= n <= {GRAPH6_MAX_N} only")
     head = [n] if n <= 62 else [63, n >> 12, (n >> 6) & 63, n & 63]
-    body = bytearray((num_pairs(n) + 5) // 6)
-    for s in slots:
-        body[s // 6] |= 32 >> s % 6
-    return bytes(head).translate(_TO_DIGIT) + body.translate(_TO_DIGIT)
+    yield bytes(head).translate(_TO_DIGIT)
+    slots = sorted(slots)
+    size = (num_pairs(n) + 5) // 6
+    lo = 0
+    for start in range(0, size, _CHUNK_BYTES):
+        chunk = bytearray(min(_CHUNK_BYTES, size - start))
+        hi = bisect_left(slots, 6 * (start + len(chunk)), lo)
+        for s in slots[lo:hi]:
+            chunk[s // 6 - start] |= 32 >> s % 6
+        lo = hi
+        yield chunk.translate(_TO_DIGIT)
 
 
 def graph6_slots(data: bytes) -> tuple[int, list[int]]:

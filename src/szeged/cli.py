@@ -18,11 +18,12 @@ import os
 import random
 import sys
 
-from ._canon import num_pairs
+from ._canon import GRAPH6_MAX_N, num_pairs
 from .enumeration import MAX_N, MAX_N_PRUNED, check_scope
 from .errors import Disconnected, FormatError, GraphError, TooLarge
 from .extremal import TreeSpec, c5_two_trees, cycle_with_tree
-from .formats import emit_edgelist, emit_graph6, parse_decimal, parse_edgelist, parse_graph6
+from .formats import (emit_edgelist, emit_graph6_chunks, parse_decimal, parse_edgelist,
+                      parse_graph6)
 from .graphs import Graph, apsp
 from .invariants import index_report, pi
 from .verify import THEOREMS, universe_filter, verify_lemmas, verify_theorem
@@ -53,10 +54,15 @@ def _parse_graph(text: str, fmt: str) -> Graph:
     return parse_graph6(text)
 
 
-def _emit_graph(g: Graph, fmt: str) -> str:
+def _write_graph(g: Graph, fmt: str) -> None:
     if fmt == "edgelist":
-        return emit_edgelist(g)
-    return emit_graph6(g).decode("ascii") + "\n"
+        sys.stdout.write(emit_edgelist(g))
+        return
+    # Written piece by piece: the graph6 body is C(n,2)/6 bytes, 5.5 GB at
+    # GRAPH6_MAX_N.
+    for chunk in emit_graph6_chunks(g):
+        sys.stdout.write(chunk.decode("ascii"))
+    sys.stdout.write("\n")
 
 
 def _pair_rows(g: Graph):
@@ -105,18 +111,39 @@ def _tree_spec(size: int, seed_rng: random.Random | None, what: str) -> TreeSpec
     return TreeSpec.random(size, seed_rng)
 
 
+def _int_option(value: str | None, option: str, signed: bool = False) -> int | None:
+    """ASCII decimal value of an option, with a leading '-' only if signed."""
+    if value is None:
+        return None
+    negative = signed and value.startswith("-")
+    try:
+        number = parse_decimal(value[1:] if negative else value)
+    except GraphError:
+        raise GraphError(f"{option} must be a decimal integer, got {value!r}") from None
+    return -number if negative else number
+
+
+def _check_construct_n(n: int) -> None:
+    if n > GRAPH6_MAX_N:
+        raise TooLarge(f"construct supports n <= {GRAPH6_MAX_N}, got n = {n}")
+
+
 def cmd_construct(args) -> int:
-    rng = random.Random(args.seed) if args.seed is not None else None
+    seed = _int_option(args.seed, "--seed", signed=True)
+    rng = random.Random(seed) if seed is not None else None
     if args.family == "cycle-tree":
-        if args.cycle is None or args.tree is None:
+        cycle, tree = _int_option(args.cycle, "--cycle"), _int_option(args.tree, "--tree")
+        if cycle is None or tree is None:
             raise GraphError("cycle-tree needs --cycle and --tree")
-        g = cycle_with_tree(args.cycle, _tree_spec(args.tree, rng, "--tree"))
+        _check_construct_n(cycle + tree - 1)
+        g = cycle_with_tree(cycle, _tree_spec(tree, rng, "--tree"))
     else:
-        if args.t1 is None or args.t2 is None:
+        t1, t2 = _int_option(args.t1, "--t1"), _int_option(args.t2, "--t2")
+        if t1 is None or t2 is None:
             raise GraphError("c5-two-trees needs --t1 and --t2")
-        g = c5_two_trees(_tree_spec(args.t1, rng, "--t1"),
-                         _tree_spec(args.t2, rng, "--t2"))
-    sys.stdout.write(_emit_graph(g, args.format))
+        _check_construct_n(3 + t1 + t2)
+        g = c5_two_trees(_tree_spec(t1, rng, "--t1"), _tree_spec(t2, rng, "--t2"))
+    _write_graph(g, args.format)
     return 0
 
 
@@ -180,7 +207,7 @@ def cmd_lemmas(args) -> int:
 
 def cmd_convert(args) -> int:
     g = _parse_graph(_read_input(args.input), getattr(args, "from"))
-    sys.stdout.write(_emit_graph(g, args.to))
+    _write_graph(g, args.to)
     return 0
 
 
@@ -203,11 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build an equality-family graph")
     p.add_argument("--family", choices=("cycle-tree", "c5-two-trees"),
                    required=True)
-    p.add_argument("--cycle", type=int, help="cycle length for cycle-tree")
-    p.add_argument("--tree", type=int, help="attached tree size for cycle-tree")
-    p.add_argument("--t1", type=int, help="first tree size for c5-two-trees")
-    p.add_argument("--t2", type=int, help="second tree size for c5-two-trees")
-    p.add_argument("--seed", type=int,
+    # Integers are read by cmd_construct, not type=: parse_args runs before
+    # main handles GraphError.
+    p.add_argument("--cycle", help="cycle length for cycle-tree")
+    p.add_argument("--tree", help="attached tree size for cycle-tree")
+    p.add_argument("--t1", help="first tree size for c5-two-trees")
+    p.add_argument("--t2", help="second tree size for c5-two-trees")
+    p.add_argument("--seed",
                    help="RNG seed; required when a tree of size >= 3 is drawn")
     p.add_argument("--format", choices=FORMATS, default="edgelist")
     p.set_defaults(func=cmd_construct)

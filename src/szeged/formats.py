@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from . import _canon
 from .errors import FormatError, GraphError
 from .graphs import Graph, build_graph, graph_from_slots
@@ -80,11 +82,16 @@ def parse_graph6(data: bytes | str) -> Graph:
     return graph_from_slots(n, slots)
 
 
-def emit_graph6(g: Graph) -> bytes:
-    """graph6 encoding of g in its current labeling.
+def emit_graph6_chunks(g: Graph) -> Iterator[bytes]:
+    """graph6 encoding of g in its current labeling, in pieces.
 
     FormatError beyond n = GRAPH6_MAX_N, before any bits are built.
     """
     if g.n > _canon.GRAPH6_MAX_N:
         raise FormatError(f"graph6 output supported for n <= {_canon.GRAPH6_MAX_N} only")
-    return _canon.graph6_bytes(g.n, (_canon.pair_index(u, v) for u, v in g.edges))
+    return _canon.graph6_chunks(g.n, (_canon.pair_index(u, v) for u, v in g.edges))
+
+
+def emit_graph6(g: Graph) -> bytes:
+    """emit_graph6_chunks joined into one string."""
+    return b"".join(emit_graph6_chunks(g))

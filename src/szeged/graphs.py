@@ -398,4 +398,4 @@ def canonical_form(g: Graph) -> bytes:
     if g.n > CANON_MAX_N:
         raise TooLarge(f"canonical form is brute force; n={g.n} > {CANON_MAX_N}")
     code = int(_canon.min_codes([adjacency_bits(g)], g.n)[0])
-    return _canon.graph6_bytes(g.n, _canon.code_slots(code, g.n))
+    return b"".join(_canon.graph6_chunks(g.n, _canon.code_slots(code, g.n)))

@@ -259,10 +259,10 @@ def _sweep(g: Graph):
 def index_report(g: Graph) -> IndexReport:
     """Bundle all indices and gaps for one connected graph.
 
-    Everything comes from one _sweep and one pass over the edges.  Across
-    an edge uv every distance changes by at most one, so
-    n_u - n_v = D(v) - D(u) for the transmissions D, and the vertices
-    that are not tied are those at distances of opposite parity:
+    Everything comes from one _sweep, bipartiteness from its odd test, and
+    one pass over the edges.  Across an edge uv every distance changes by
+    at most one, so n_u - n_v = D(v) - D(u) for the transmissions D, and
+    the vertices that are not tied are those at distances of opposite parity:
     n_u + n_v = |odd[u] ^ odd[v]|.  Writing a and b for these two,
     4 n_u n_v = a^2 - b^2 and (2 n_u + n_0)(2 n_v + n_0) = n^2 - b^2.
     """
@@ -270,13 +270,12 @@ def index_report(g: Graph) -> IndexReport:
     if n > INDEX_MAX_N:
         raise TooLarge(f"index report is capped at n = {INDEX_MAX_N}, got n = {n}")
     trans, odd, odd_level, even_level = _sweep(g)
-    sz4 = b2 = untied = 0
+    sz4 = b2 = 0
     for u, v in g.edges:
         a = (odd[u] ^ odd[v]).bit_count()
         b = trans[v] - trans[u]
         sz4 += a * a
         b2 += b * b
-        untied += a
     w = sum(trans) // 2
     sz = (sz4 - b2) // 4
     rsz4 = g.m * n * n - b2
@@ -291,7 +290,7 @@ def index_report(g: Graph) -> IndexReport:
         revised_szeged_x4=rsz4,
         gap_sz=sz - w,
         gap_rsz_x4=rsz4 - 4 * w,
-        bipartite=untied == g.m * n,
+        bipartite=odd_len is None,
         girth=length,
         odd_girth=odd_len,
     )

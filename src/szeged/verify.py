@@ -16,7 +16,7 @@ from .extremal import (  # THEOREMS and universe_filter stay importable here
     universe_filter,
 )
 from .graphs import Graph, apsp, blocks, canonical_form, girth
-from .invariants import blocks_all_complete, index_report, pi
+from .invariants import blocks_all_complete, index_report, pi, szeged, wiener
 
 
 def _gap(bound: BoundValue, g: Graph) -> int:
@@ -165,9 +165,9 @@ def _cycle_pairs_ok(g: Graph, dm) -> bool:
     return True
 
 
-def _block_iff_ok(g: Graph) -> bool:
+def _block_iff_ok(g: Graph, dm) -> bool:
     """Sz equals W exactly when every block is complete."""
-    return blocks_all_complete(g, blocks(g)) == (index_report(g).gap_sz == 0)
+    return blocks_all_complete(g, blocks(g)) == (szeged(g, dm) == wiener(g, dm))
 
 
 def _equidistant_ok(g: Graph, dm) -> bool:
@@ -203,7 +203,7 @@ def verify_lemmas(n: int) -> LemmaReport:
         dm = apsp(g)
         if not _cycle_pairs_ok(g, dm):
             cycle_bad.append(_name(g))
-        if not _block_iff_ok(g):
+        if not _block_iff_ok(g, dm):
             block_bad.append(_name(g))
         if not _equidistant_ok(g, dm):
             equi_bad.append(_name(g))

@@ -182,6 +182,18 @@ def bipartite_2color(n, edges):
     return True
 
 
+def graph6_oracle(n, edges):
+    """graph6 bytes from the format's definition: one bit per vertex pair,
+    pairs in column order (0,1), (0,2), (1,2), (0,3), ..., zero-padded to a
+    multiple of six, six bits per byte plus 63, after the vertex count."""
+    edge_set = {(min(e), max(e)) for e in edges}
+    bits = "".join("1" if (i, j) in edge_set else "0" for j in range(n) for i in range(j))
+    bits += "0" * (-len(bits) % 6)
+    count = [n] if n <= 62 else [63, n >> 12 & 63, n >> 6 & 63, n & 63]
+    digits = count + [int(bits[k:k + 6], 2) for k in range(0, len(bits), 6)]
+    return bytes(63 + d for d in digits)
+
+
 def _perm_code(n, bits, perm, index_of):
     out = 0
     for k, (i, j) in enumerate(pairs_rowmajor(n)):

@@ -211,6 +211,13 @@ class TestConstruct:
         code2, out2, _ = run(capsys, monkeypatch, argv)
         assert code1 == code2 == 0 and out1 == out2
 
+    def test_negative_seed(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, monkeypatch,
+                           ["construct", "--family", "cycle-tree",
+                            "--cycle", "5", "--tree", "10", "--seed", "-3"])
+        tree = szeged.TreeSpec.random(10, random.Random(-3))
+        assert code == 0 and out == emit_edgelist(szeged.cycle_with_tree(5, tree))
+
     def test_pipe_into_compute_hits_the_bound(self, capsys, monkeypatch):
         code, built, _ = run(capsys, monkeypatch,
                              ["construct", "--family", "cycle-tree",
@@ -257,6 +264,37 @@ class TestConstruct:
         assert code == 0
         g = parse_graph6(out.strip())
         assert (g.n, g.m) == (100, 100)
+
+
+def peak_rss_mb(args, stdin):
+    """Exit code and peak RSS in MB of one cold CLI run, its output discarded."""
+    proc = subprocess.Popen([sys.executable, "-m", "szeged.cli", *args],
+                            stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, env=COLD_ENV)
+    proc.stdin.write(stdin.encode("ascii"))
+    proc.stdin.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage.ru_maxrss / 1024
+
+
+class TestGraph6Output:
+    """graph6 output is written piece by piece, as emit_graph6 would encode it."""
+
+    def test_several_pieces(self, capsys, monkeypatch):
+        # 4,000 vertices: a 1.3 MB body, more than one piece.
+        g = build_graph(4000, [(0, 1), (5, 3999), (1000, 3998)])
+        code, out, _ = run(capsys, monkeypatch,
+                           ["convert", "--from", "edgelist", "--to", "graph6"],
+                           stdin=emit_edgelist(g))
+        assert code == 0 and out == szeged.emit_graph6(g).decode("ascii") + "\n"
+
+    def test_memory_stays_near_edgelist_output(self):
+        # An empty graph on 40,000 vertices has a 133 MB graph6 body.
+        args = ["convert", "--from", "edgelist", "--to"]
+        code_e, rss_e = peak_rss_mb(args + ["edgelist"], "40000 0\n")
+        code_g, rss_g = peak_rss_mb(args + ["graph6"], "40000 0\n")
+        assert code_e == code_g == 0
+        assert rss_g < 2 * rss_e
 
 
 class TestVerify:
@@ -412,6 +450,21 @@ class TestExitCodes:
         (["lemmas", "--n", "+3"], None, 2),
         (["verify", "--theorem", "thm3", "--n", "5..\u0666"], None, 2),
         (["verify", "--theorem", "thm3", "--n", "+5"], None, 2),
+        (["construct", "--family", "cycle-tree", "--cycle", "\u0665", "--tree", "1"],
+         None, 2),
+        (["construct", "--family", "cycle-tree", "--cycle", "5", "--tree", "1_0",
+          "--seed", "3"], None, 2),
+        (["construct", "--family", "cycle-tree", "--cycle", "5", "--tree", "10",
+          "--seed", "+3"], None, 2),
+        (["construct", "--family", "c5-two-trees", "--t1", "+2", "--t2", "2"], None, 2),
+        (["construct", "--family", "c5-two-trees", "--t1", "2", "--t2", "-2"], None, 2),
+        # One vertex over GRAPH6_MAX_N, refused before anything is built.
+        (["construct", "--family", "cycle-tree", "--cycle", "258048", "--tree", "1"],
+         None, 2),
+        (["construct", "--family", "cycle-tree", "--cycle", "5", "--tree", "258044",
+          "--seed", "1"], None, 2),
+        (["construct", "--family", "c5-two-trees", "--t1", "258040", "--t2", "5",
+          "--seed", "1"], None, 2),
     ], ids=["lemmas-zero", "lemmas-negative", "verify-unwritable-out",
             "convert-graph6-too-long", "compute-pairs-over-budget",
             "construct-cycle-tree-missing-tree", "construct-two-trees-missing-t1",
@@ -420,7 +473,10 @@ class TestExitCodes:
             "compute-header-arabic-digit", "compute-header-underscore",
             "compute-header-plus", "compute-edge-plus", "lemmas-n-arabic-digit",
             "lemmas-n-underscore", "lemmas-n-plus", "verify-n-arabic-digit",
-            "verify-n-plus"])
+            "verify-n-plus", "construct-cycle-arabic-digit", "construct-tree-underscore",
+            "construct-seed-plus", "construct-t1-plus", "construct-t2-negative",
+            "construct-cycle-over-limit", "construct-tree-over-limit",
+            "construct-two-trees-over-limit"])
     def test_exit_code(self, capsys, monkeypatch, argv, stdin, want):
         t0 = time.perf_counter()
         code, out, err = run(capsys, monkeypatch, argv, stdin=stdin)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import time
 
 import pytest
@@ -11,7 +12,9 @@ import oracles
 from szeged import _canon
 from szeged import (
     FormatError,
+    adjacency_bits,
     build_graph,
+    canonical_form,
     cycle_graph,
     emit_edgelist,
     emit_graph6,
@@ -19,6 +22,7 @@ from szeged import (
     parse_graph6,
     path_graph,
 )
+from szeged.formats import emit_graph6_chunks
 
 C5_TEXT = "5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n"
 
@@ -144,6 +148,48 @@ class TestGraph6:
         assert parse_graph6(emit_graph6(g)) == g
         assert time.perf_counter() - t0 < 2
         assert _canon.pair_list.cache_info().currsize == before
+
+    def test_matches_definition_random(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            n = rng.randint(1, 100)
+            edges = [p for p in oracles.pairs_rowmajor(n) if rng.random() < rng.random()]
+            assert emit_graph6(build_graph(n, edges)) == oracles.graph6_oracle(n, edges)
+
+    def test_canonical_form_matches_definition(self):
+        rng = random.Random(19)
+        for _ in range(40):
+            n = rng.randint(1, 10)
+            edges = [p for p in oracles.pairs_rowmajor(n) if rng.random() < 0.5]
+            g = build_graph(n, edges)
+            code = int(_canon.min_codes([adjacency_bits(g)], n)[0])
+            m = n * (n - 1) // 2
+            canon = [p for s, p in enumerate(_canon.pair_list(n)) if code >> (m - 1 - s) & 1]
+            assert canonical_form(g) == oracles.graph6_oracle(n, canon)
+
+    def test_sparse_large_matches_definition(self):
+        # 40,000 vertices, a 133 MB body in pieces of at most _CHUNK_BYTES.
+        # Edges fall on the pieces' ends and at random; each body byte is
+        # checked against the set bits the definition puts there.
+        n = 40_000
+        rng = random.Random(23)
+        ends = [6 * _canon._CHUNK_BYTES * k + d for k in (1, 2, 50) for d in (-1, 0)]
+        edges = {_canon.pair_at(s) for s in ends}
+        edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(2000)}
+        want = {}
+        for i, j in edges:
+            s = j * (j - 1) // 2 + i  # pairs before column j, then row i
+            want[s // 6] = want.get(s // 6, 0) | 32 >> s % 6
+        pieces = emit_graph6_chunks(build_graph(n, sorted(edges)))
+        assert next(pieces) == bytes(63 + d for d in (63, n >> 12, n >> 6 & 63, n & 63))
+        got, size = {}, 0
+        for piece in pieces:
+            assert len(piece) <= _canon._CHUNK_BYTES
+            got.update((size + hit.start(), piece[hit.start()] - 63)
+                       for hit in re.finditer(rb"[^?]", piece))
+            size += len(piece)
+        assert size == (n * (n - 1) // 2 + 5) // 6
+        assert got == want
 
     def test_beyond_long_form_rejected(self):
         with pytest.raises(FormatError):

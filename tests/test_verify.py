@@ -15,12 +15,15 @@ from szeged import (
     TreeSpec,
     UniverseFilter,
     VerificationReport,
+    apsp,
     build_graph,
     c5_two_trees,
     canonical_form,
+    complete_graph,
     cycle_graph,
     cycle_with_tree,
     parse_graph6,
+    path_graph,
     universe_filter,
     verify_lemmas,
     verify_theorem,
@@ -178,6 +181,43 @@ class TestLemmas:
             "block_iff_violations", "equidistant_violations", "elapsed_ms",
         ]
         json.dumps(d)
+
+
+class TestLemmaChecks:
+    """Each check reads the distance matrix it is given: with the matrix
+    of another graph on the same vertices, chosen below, it fails."""
+
+    PAW = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+    # The star with centre 3, and the path 0-3-2-1 on the same vertices.
+    STAR = build_graph(4, [(0, 3), (1, 3), (2, 3)])
+    PATH = build_graph(4, [(0, 3), (2, 3), (1, 2)])
+
+    def test_matching_distances_pass(self):
+        for g in (self.PAW, self.STAR, self.PATH, cycle_graph(4), complete_graph(4)):
+            dm = apsp(g)
+            assert verify_module._cycle_pairs_ok(g, dm)
+            assert verify_module._block_iff_ok(g, dm)
+            assert verify_module._equidistant_ok(g, dm)
+
+    def test_block_iff_reads_dm(self):
+        # The paw's blocks are complete, but with the path's distances Sz != W.
+        assert not verify_module._block_iff_ok(self.PAW, apsp(path_graph(4)))
+
+    def test_cycle_pairs_read_dm(self):
+        # With K4's distances no pair of the 4-cycle has positive slack.
+        assert not verify_module._cycle_pairs_ok(cycle_graph(4), apsp(complete_graph(4)))
+
+    def test_equidistant_reads_dm(self):
+        # With the path's distances some star edge has a tie, yet fewer than n.
+        assert not verify_module._equidistant_ok(self.STAR, apsp(self.PATH))
+
+    def test_lemmas_do_not_use_index_report(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("verify_lemmas called index_report")
+
+        monkeypatch.setattr(verify_module, "index_report", refuse)
+        r = verify_lemmas(6)
+        assert r.ok and r.universe_size == 112
 
 
 class TestNaming:
