@@ -20,7 +20,7 @@ import re
 from bisect import bisect_left
 from functools import lru_cache
 from math import isqrt
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,6 +40,7 @@ _CHUNK_BYTES = 2**20  # graph6 body bytes encoded at a time
 # graph6 digits are the six-bit values 0..63 written as bytes 63..126.
 _GRAPH6_DIGITS = bytes(range(63, 127))
 _TO_DIGIT = bytes((b + 63) % 256 for b in range(256))
+_GRAPH6_HEADER = b">>graph6<<"  # optional, before the string
 
 
 def num_pairs(n: int) -> int:
@@ -176,37 +177,87 @@ def graph6_chunks(n: int, slots) -> Iterator[bytes]:
         yield chunk.translate(_TO_DIGIT)
 
 
-def graph6_slots(data: bytes) -> tuple[int, list[int]]:
-    """Decode a graph6 byte string to (n, set column-order pairs, ascending).
+def _graph6_stripped(pieces: Iterable[bytes]) -> Iterator[bytes]:
+    """The nonempty pieces of b"".join(pieces).strip(), one at a time.
 
-    Only the nonzero body bytes are unpacked.  Raises ValueError on bad
-    length, out-of-range bytes, nonzero padding, or a vertex count outside
-    0..GRAPH6_MAX_N in its shortest form.
+    Whitespace is held back until data follows it; whitespace inside the
+    string is a graph6 byte out of range, refused there.
     """
-    if data.startswith(b">>graph6<<"):
-        data = data[len(b">>graph6<<"):]
-    if not data:
-        raise ValueError("empty graph6 string")
-    if data.translate(None, _GRAPH6_DIGITS):
+    started = held = False
+    for piece in pieces:
+        if not started:
+            piece = piece.lstrip()
+            started = bool(piece)
+        core = piece.rstrip()
+        if core:
+            if held:
+                raise ValueError("graph6 byte out of range")
+            yield core
+            held = len(core) < len(piece)
+        else:
+            held = held or bool(piece)
+
+
+def _check_digits(piece: bytes) -> None:
+    if piece.translate(None, _GRAPH6_DIGITS):
         raise ValueError("graph6 byte out of range")
-    if data[0] < 126:
-        n, body = data[0] - 63, data[1:]
-    elif len(data) < 4:
+
+
+def _graph6_count(head: bytes) -> tuple[int, int]:
+    """Vertex count at the start of a graph6 string, and the body's offset."""
+    if head[0] < 126:
+        return head[0] - 63, 1
+    if len(head) < 4:
         raise ValueError("truncated graph6 vertex count")
-    elif data[1] == 126:
+    if head[1] == 126:
         raise ValueError(f"graph6 input supported for n <= {GRAPH6_MAX_N} only")
-    else:
-        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        if n <= 62:
-            raise ValueError("graph6 long form used for n <= 62")
-        body = data[4:]
+    n = ((head[1] - 63) << 12) | ((head[2] - 63) << 6) | (head[3] - 63)
+    if n <= 62:
+        raise ValueError("graph6 long form used for n <= 62")
+    return n, 4
+
+
+def graph6_slots(pieces: Iterable[bytes]) -> tuple[int, list[int]]:
+    """Decode a graph6 string, given in pieces, to (n, set column-order pairs, ascending).
+
+    The pieces joined and stripped of surrounding whitespace are the string,
+    optionally after a >>graph6<< header.  They are read one at a time, so
+    memory stays at one piece and the set pairs however large the body, and
+    only the nonzero body bytes are unpacked.  Raises ValueError on bad
+    length, out-of-range bytes, nonzero padding, or a vertex count outside
+    0..GRAPH6_MAX_N in its shortest form; a byte out of range is named
+    first, wherever it is.
+    """
+    pieces = _graph6_stripped(pieces)
+    head = b""
+    for piece in pieces:  # enough for the header and the vertex count
+        head += piece
+        if len(head) >= len(_GRAPH6_HEADER) + 4:
+            break
+    if head.startswith(_GRAPH6_HEADER):
+        head = head[len(_GRAPH6_HEADER):]
+    if not head:
+        raise ValueError("empty graph6 string")
+    _check_digits(head)
+    try:
+        n, start = _graph6_count(head)
+    except ValueError:
+        for piece in pieces:
+            _check_digits(piece)
+        raise
     m = num_pairs(n)
-    if len(body) != (m + 5) // 6:
-        raise ValueError("graph6 body has wrong length")
+    size = (m + 5) // 6
     slots = []
-    for digit in re.finditer(rb"[^?]", body):  # '?' is the zero digit
-        value, base = body[digit.start()] - 63, 6 * digit.start()
-        slots.extend(base + b for b in range(6) if value >> (5 - b) & 1)
+    seen = 0  # body bytes before this piece
+    for piece in itertools.chain([head[start:]], pieces):
+        _check_digits(piece)
+        if seen < size:  # past the body's length only the range is checked
+            for digit in re.finditer(rb"[^?]", piece):  # '?' is the zero digit
+                value, base = piece[digit.start()] - 63, 6 * (seen + digit.start())
+                slots.extend(base + b for b in range(6) if value >> (5 - b) & 1)
+        seen += len(piece)
+    if seen != size:
+        raise ValueError("graph6 body has wrong length")
     if slots and slots[-1] >= m:
         raise ValueError("nonzero graph6 padding bits")
     return n, slots

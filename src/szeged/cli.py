@@ -17,13 +17,16 @@ import json
 import os
 import random
 import sys
+from contextlib import nullcontext
+from typing import Iterator
 
+from . import _canon
 from ._canon import GRAPH6_MAX_N, num_pairs
 from .enumeration import MAX_N, MAX_N_PRUNED, check_scope
 from .errors import Disconnected, FormatError, GraphError, TooLarge
 from .extremal import TreeSpec, c5_two_trees, cycle_with_tree
 from .formats import (emit_edgelist, emit_graph6_chunks, parse_decimal, parse_edgelist,
-                      parse_graph6)
+                      parse_graph6_chunks)
 from .graphs import Graph, apsp
 from .invariants import index_report, pi
 from .verify import THEOREMS, universe_filter, verify_lemmas, verify_theorem
@@ -36,22 +39,25 @@ FORMATS = ("edgelist", "graph6")
 PAIRS_MAX_WORK = 45_400_000
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+def _input_pieces(path: str) -> Iterator[bytes]:
+    """The bytes of a file, or of stdin for "-", in pieces; FormatError unless ASCII."""
+    name = "standard input" if path == "-" else path
     try:
-        with open(path, encoding="ascii") as fh:
-            return fh.read()
+        with nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
+            while piece := fh.read(_canon._CHUNK_BYTES):
+                if not piece.isascii():
+                    raise FormatError(f"{name} is not ASCII text")
+                yield piece
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError:
-        raise FormatError(f"{path} is not ASCII text") from None
 
 
-def _parse_graph(text: str, fmt: str) -> Graph:
-    if fmt == "edgelist":
-        return parse_edgelist(text)
-    return parse_graph6(text)
+def _read_graph(path: str, fmt: str) -> Graph:
+    # graph6 is decoded piece by piece: its body is C(n,2)/6 bytes, 5.5 GB
+    # at GRAPH6_MAX_N.
+    if fmt == "graph6":
+        return parse_graph6_chunks(_input_pieces(path))
+    return parse_edgelist(b"".join(_input_pieces(path)).decode("ascii"))
 
 
 def _write_graph(g: Graph, fmt: str) -> None:
@@ -74,7 +80,7 @@ def _pair_rows(g: Graph):
 
 
 def cmd_compute(args) -> int:
-    g = _parse_graph(_read_input(args.input), args.format)
+    g = _read_graph(args.input, args.format)
     if args.pairs and num_pairs(g.n) * g.m > PAIRS_MAX_WORK:
         raise TooLarge(f"--pairs work C(n,2)*m = {num_pairs(g.n) * g.m} is over "
                        f"the budget of {PAIRS_MAX_WORK}")
@@ -206,7 +212,7 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    g = _parse_graph(_read_input(args.input), getattr(args, "from"))
+    g = _read_graph(args.input, getattr(args, "from"))
     _write_graph(g, args.to)
     return 0
 

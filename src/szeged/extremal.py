@@ -64,6 +64,12 @@ class TreeSpec:
                                       for i in range(1, size)))
 
 
+def _graft(t: TreeSpec, at: int, base: int) -> list[tuple[int, int]]:
+    """Edges of t hung at graph vertex at; tree vertex i > 0 becomes base + i."""
+    return [(at if p == 0 else base + p, base + i)
+            for i, p in enumerate(t.parent[1:], 1)]
+
+
 def cycle_with_tree(g_len: int, t: TreeSpec) -> Graph:
     """Cycle on vertices 0..g_len-1 with t grafted at cycle vertex 0.
 
@@ -73,9 +79,7 @@ def cycle_with_tree(g_len: int, t: TreeSpec) -> Graph:
     if g_len < 3:
         raise GraphError(f"cycle needs at least 3 vertices, got {g_len}")
     edges = [(i, (i + 1) % g_len) for i in range(g_len)]
-    for i in range(1, t.size):
-        p = t.parent[i]
-        edges.append((0 if p == 0 else g_len - 1 + p, g_len - 1 + i))
+    edges += _graft(t, 0, g_len - 1)
     return build_graph(g_len + t.size - 1, edges)
 
 
@@ -85,13 +89,8 @@ def c5_two_trees(t1: TreeSpec, t2: TreeSpec) -> Graph:
     n = 3 + t1.size + t2.size.
     """
     edges = [(i, (i + 1) % 5) for i in range(5)]
-    for i in range(1, t1.size):
-        p = t1.parent[i]
-        edges.append((0 if p == 0 else 4 + p, 4 + i))
-    off = 4 + t1.size - 1
-    for i in range(1, t2.size):
-        p = t2.parent[i]
-        edges.append((1 if p == 0 else off + p, off + i))
+    edges += _graft(t1, 0, 4)
+    edges += _graft(t2, 1, 3 + t1.size)
     return build_graph(3 + t1.size + t2.size, edges)
 
 

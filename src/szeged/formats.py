@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import _canon
 from .errors import FormatError, GraphError
@@ -72,9 +72,13 @@ def parse_graph6(data: bytes | str) -> Graph:
             data = data.encode("ascii")
         except UnicodeEncodeError:
             raise FormatError("graph6 input must be ASCII") from None
-    data = data.strip()
+    return parse_graph6_chunks([data])
+
+
+def parse_graph6_chunks(pieces: Iterable[bytes]) -> Graph:
+    """parse_graph6 of the pieces joined, reading one piece at a time."""
     try:
-        n, slots = _canon.graph6_slots(data)
+        n, slots = _canon.graph6_slots(pieces)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
     if n < 1:

@@ -194,6 +194,35 @@ def graph6_oracle(n, edges):
     return bytes(63 + d for d in digits)
 
 
+# Malformed graph6 input, each with the one message it is refused with.  A
+# byte out of range is named first, wherever it is.
+GRAPH6_ERRORS = [
+    ("", "empty graph6 string"),
+    ("\n \n", "empty graph6 string"),
+    (">>graph6<<", "empty graph6 string"),
+    ("D", "graph6 body has wrong length"),
+    ("Dhc?", "graph6 body has wrong length"),
+    ("~?@???????????", "graph6 body has wrong length"),
+    ("Dh\x1f", "graph6 byte out of range"),
+    ("Dh\x7f", "graph6 byte out of range"),
+    ("Dh c", "graph6 byte out of range"),
+    ("Dhc \n\n x", "graph6 byte out of range"),
+    (">>graph6<< Dhc", "graph6 byte out of range"),
+    (">>graph6", "graph6 byte out of range"),
+    ("~~???~??\x01", "graph6 byte out of range"),
+    ("~??}\x01", "graph6 byte out of range"),
+    ("A@", "nonzero graph6 padding bits"),
+    ("Bh", "nonzero graph6 padding bits"),
+    ("A@ \n", "nonzero graph6 padding bits"),
+    ("?", "graph must have at least one vertex"),
+    ("~??", "truncated graph6 vertex count"),
+    (" ~??\t", "truncated graph6 vertex count"),
+    (">>graph6<<~??", "truncated graph6 vertex count"),
+    ("~??}", "graph6 long form used for n <= 62"),
+    ("~~???~??", "graph6 input supported for n <= 258047 only"),
+]
+
+
 def _perm_code(n, bits, perm, index_of):
     out = 0
     for k, (i, j) in enumerate(pairs_rowmajor(n)):

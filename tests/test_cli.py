@@ -54,7 +54,8 @@ def cold(args, **kwargs):
 
 def run(capsys, monkeypatch, argv, stdin=None):
     if stdin is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin.encode("utf-8")),
+                                                          encoding="utf-8"))
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
@@ -295,6 +296,96 @@ class TestGraph6Output:
         code_g, rss_g = peak_rss_mb(args + ["graph6"], "40000 0\n")
         assert code_e == code_g == 0
         assert rss_g < 2 * rss_e
+
+
+# Runs main(argv) in a new interpreter, then reports its exit code and its
+# own peak RSS in kB.  VmHWM counts this image only, where ru_maxrss can
+# carry over exec the RSS of the process that spawned it.
+RSS_PROBE = """
+import sys
+import szeged.cli
+code = szeged.cli.main(sys.argv[1:])
+sys.stdout.flush()
+with open("/proc/self/status") as fh:
+    print(code, fh.read().split("VmHWM:")[1].split()[0], file=sys.stderr)
+"""
+
+
+def own_peak_rss_mb(argv, stdin):
+    """Peak RSS in MB of one cold CLI run that exits 0, its output discarded.
+
+    stdin is bytes to pipe in, or an open file to read as standard input.
+    """
+    piped = isinstance(stdin, bytes)
+    proc = cold(["-c", RSS_PROBE, *argv], input=stdin if piped else None,
+                stdin=None if piped else stdin, stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE, timeout=120)
+    code, kb = proc.stderr.split()[-2:]
+    assert proc.returncode == 0 and code == b"0", proc.stderr
+    return int(kb) / 1024
+
+
+class TestGraph6Input:
+    """graph6 input is read and decoded piece by piece, from a file or stdin."""
+
+    FROM_GRAPH6 = ["convert", "--from", "graph6", "--to", "edgelist"]
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5])
+    def test_small_pieces_decode_like_parse_graph6(self, capsys, monkeypatch, tmp_path,
+                                                   size):
+        monkeypatch.setattr("szeged._canon._CHUNK_BYTES", size)
+        rng = random.Random(size)
+        path = tmp_path / "g.g6"
+        for _ in range(12):
+            n = rng.choice([rng.randint(1, 62), rng.randint(63, 100)])
+            edges = [p for p in oracles.pairs_rowmajor(n) if rng.random() < 0.1]
+            text = rng.choice(["", ">>graph6<<"]) + szeged.emit_graph6(
+                build_graph(n, edges)).decode("ascii") + "\n"
+            want = emit_edgelist(parse_graph6(text))
+            assert run(capsys, monkeypatch, self.FROM_GRAPH6, stdin=text) == (0, want, "")
+            path.write_text(text)
+            assert run(capsys, monkeypatch, self.FROM_GRAPH6 + [str(path)]) == (0, want, "")
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5])
+    def test_small_pieces_keep_errors(self, capsys, monkeypatch, size):
+        monkeypatch.setattr("szeged._canon._CHUNK_BYTES", size)
+        for text, message in oracles.GRAPH6_ERRORS:
+            for argv in (self.FROM_GRAPH6, ["compute", "--format", "graph6"]):
+                code, out, err = run(capsys, monkeypatch, argv, stdin=text)
+                assert (code, out, err) == (3, "", f"error: {message}\n"), text
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    def test_memory_stays_at_a_piece(self, tmp_path):
+        # An empty graph on 40,000 vertices has a 133 MB graph6 body.
+        path = tmp_path / "empty.g6"
+        with open(path, "wb") as fh:
+            fh.writelines(szeged.formats.emit_graph6_chunks(build_graph(40_000, [])))
+        rss_e = own_peak_rss_mb(["convert", "--from", "edgelist", "--to", "edgelist"],
+                                b"40000 0\n")
+        assert own_peak_rss_mb(self.FROM_GRAPH6 + [str(path)], b"") < 2 * rss_e
+        with open(path, "rb") as fh:
+            assert own_peak_rss_mb(self.FROM_GRAPH6, fh) < 2 * rss_e
+
+    @pytest.mark.parametrize("argv,data", [
+        (["compute"], b"\xff\xfe 1\n"),
+        (["convert", "--from", "edgelist", "--to", "graph6"], b"2 1\n0 1\xa0\n"),
+        (["convert", "--from", "graph6", "--to", "edgelist"], b"D\xffc"),
+        (["compute", "--format", "graph6"], b"\xe2\x82\xac"),
+    ])
+    def test_non_ascii_stdin_is_unusable_input(self, argv, data):
+        # A strict UTF-8 stdin, as in any UTF-8 locale.
+        proc = subprocess.run([sys.executable, "-m", "szeged.cli", *argv], input=data,
+                              capture_output=True, timeout=60,
+                              env={**COLD_ENV, "PYTHONIOENCODING": "utf-8:strict"})
+        assert proc.returncode == 3 and proc.stdout == b""
+        assert proc.stderr == b"error: standard input is not ASCII text\n"
+
+    def test_non_ascii_file_is_unusable_input(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "g.g6"
+        path.write_bytes(b"D\xffc\n")
+        for fmt in ("graph6", "edgelist"):
+            code, out, err = run(capsys, monkeypatch, ["compute", "--format", fmt, str(path)])
+            assert (code, out, err) == (3, "", f"error: {path} is not ASCII text\n")
 
 
 class TestVerify:

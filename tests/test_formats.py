@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -22,7 +23,7 @@ from szeged import (
     parse_graph6,
     path_graph,
 )
-from szeged.formats import emit_graph6_chunks
+from szeged.formats import emit_graph6_chunks, parse_graph6_chunks
 
 C5_TEXT = "5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n"
 
@@ -203,3 +204,49 @@ class TestGraph6:
             via_text = parse_edgelist(emit_edgelist(g))
             via_g6 = parse_graph6(emit_graph6(g).decode("ascii"))
             assert via_text == via_g6 == g
+
+
+def split_every(data, size):
+    return [data[i:i + size] for i in range(0, len(data), size)] or [b""]
+
+
+class TestGraph6Pieces:
+    """parse_graph6_chunks reads one piece at a time and decodes the pieces
+    joined exactly as parse_graph6 decodes the whole string."""
+
+    @pytest.mark.parametrize("text,message", oracles.GRAPH6_ERRORS)
+    def test_every_split_keeps_the_message(self, text, message):
+        data = text.encode("ascii")
+        with pytest.raises(FormatError) as whole:
+            parse_graph6(text)
+        assert str(whole.value) == message
+        splits = [split_every(data, k) for k in range(1, len(data) + 1)]
+        splits += [[data[:i], b"", data[i:]] for i in range(len(data) + 1)]
+        for pieces in splits:
+            with pytest.raises(FormatError) as split:
+                parse_graph6_chunks(pieces)
+            assert str(split.value) == message, pieces
+
+    def test_random_graphs_in_random_pieces(self):
+        rng = random.Random(29)
+        for _ in range(150):
+            n = rng.randint(1, 100)
+            edges = [p for p in oracles.pairs_rowmajor(n) if rng.random() < 0.1]
+            g = build_graph(n, edges)
+            data = rng.choice([b"", b">>graph6<<"]) + emit_graph6(g)
+            data = rng.choice([b"", b" \n"]) + data + rng.choice([b"", b"\n", b"\t\r\n"])
+            cuts = sorted(rng.randint(0, len(data)) for _ in range(rng.randint(0, 8)))
+            pieces = [data[a:b] for a, b in zip([0] + cuts, cuts + [len(data)])]
+            assert parse_graph6_chunks(pieces) == parse_graph6(data) == g
+
+    def test_reads_one_piece_at_a_time(self):
+        # The empty 40,000-vertex graph: 133 MB of graph6 in pieces of 1 MB,
+        # decoded in a few pieces' worth of memory.
+        tracemalloc.start()
+        try:
+            g = parse_graph6_chunks(emit_graph6_chunks(build_graph(40_000, [])))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (g.n, g.m) == (40_000, 0)
+        assert peak < 10 * _canon._CHUNK_BYTES

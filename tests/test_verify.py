@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,12 +23,14 @@ from szeged import (
     complete_graph,
     cycle_graph,
     cycle_with_tree,
+    enumerate_connected,
     parse_graph6,
     path_graph,
     universe_filter,
     verify_lemmas,
     verify_theorem,
 )
+from szeged.extremal import theorem_bound
 
 
 def all_tree_specs(size):
@@ -238,11 +241,64 @@ class TestNaming:
     @pytest.mark.parametrize("which,n", [("thm1", 6), ("thm1", 7), ("thm2", 5),
                                          ("thm2", 6), ("thm3", 5), ("thm3", 6)])
     def test_theorem_names_are_canonical(self, monkeypatch, which, n):
-        # A predicate that always says "achiever" lists every other graph
-        # as a mismatch, so both naming paths are exercised.
-        monkeypatch.setattr(verify_module, "_predicate", lambda w, g: True)
+        # Every graph on the bound is an achiever, so every graph is named;
+        # the ones the predicate rejects are named again as mismatches.
+        monkeypatch.setattr(verify_module, "index_report", on_the_bound(which, n))
         r = verify_theorem(which, n)
-        names = r.achievers + r.predicate_mismatches
-        assert len(names) == r.universe_size
-        for name in names:
+        assert len(r.achievers) == r.universe_size
+        for name in r.achievers + r.predicate_mismatches:
             assert canonical_form(parse_graph6(name)).decode("ascii") == name
+
+
+def on_the_bound(which, n):
+    """A stand-in for index_report that puts every graph exactly on the bound."""
+    at = theorem_bound(which, n).numerator
+    return lambda g: SimpleNamespace(gap_sz=at, gap_rsz_x4=at)
+
+
+def universe(which, n):
+    return list(enumerate_connected(universe_filter(which, n)))
+
+
+def names(graphs):
+    return tuple(sorted(canonical_form(g).decode("ascii") for g in graphs))
+
+
+class TestEqualityGuard:
+    """verify_theorem asks the equality predicate only of unicyclic graphs,
+    and still cross-checks the bound against it in both directions."""
+
+    @pytest.mark.parametrize("n,unicyclic", [(6, 8), (7, 23), (8, 55)])
+    def test_predicate_asked_only_where_m_equals_n(self, monkeypatch, n, unicyclic):
+        asked = []
+        real = verify_module.is_equality_thm3
+        monkeypatch.setattr(verify_module, "is_equality_thm3",
+                            lambda g: asked.append(g) or real(g))
+        r = verify_theorem("thm3", n)
+        assert r.ok
+        assert all(g.m == g.n for g in asked)
+        assert len(asked) == unicyclic
+        assert len(asked) == sum(g.m == n for g in universe("thm3", n))
+
+    @pytest.mark.parametrize("which,n", [("thm1", 8), ("thm2", 6), ("thm3", 6)])
+    def test_every_rejected_graph_on_the_bound_is_a_mismatch(self, monkeypatch,
+                                                             which, n):
+        predicate = getattr(verify_module, f"is_equality_{which}")
+        monkeypatch.setattr(verify_module, "index_report", on_the_bound(which, n))
+        graphs = universe(which, n)
+        r = verify_theorem(which, n)
+        assert r.achievers == names(graphs)
+        rejected = [g for g in graphs if not predicate(g)]
+        assert r.predicate_mismatches == names(rejected)
+        assert any(g.m != n for g in rejected)
+        assert any(g.m == n for g in rejected)
+
+    @pytest.mark.parametrize("which,n", [("thm1", 8), ("thm2", 6), ("thm3", 6)])
+    def test_every_unicyclic_non_achiever_is_a_mismatch(self, monkeypatch, which, n):
+        honest = verify_theorem(which, n)
+        monkeypatch.setattr(verify_module, f"is_equality_{which}", lambda g: True)
+        r = verify_theorem(which, n)
+        assert r.achievers == honest.achievers
+        want = [g for g in universe(which, n) if g.m == n
+                and canonical_form(g).decode("ascii") not in honest.achievers]
+        assert want and r.predicate_mismatches == names(want)
