@@ -35,7 +35,7 @@ from .extremal import (
     is_equality_thm3,
     universe_filter,
 )
-from .formats import emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
+from .formats import canonical_form, emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
 from .graphs import (
     BipartiteCheck,
     BlockDecomposition,
@@ -46,7 +46,6 @@ from .graphs import (
     apsp,
     blocks,
     build_graph,
-    canonical_form,
     complete_graph,
     cycle_graph,
     girth,

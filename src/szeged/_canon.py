@@ -9,18 +9,16 @@ most MAX_TABLE_N!: each block's relabeled codes are one exact float64 matrix
 product of the gathered bit rows with a table of powers of two.
 
 numpy is imported by the batch functions themselves, on the first
-canonization: codes, slots and graph6 strings are plain Python ints and
-bytes, so a process that never canonizes never loads it.
+canonization: codes and slots are plain Python ints, so a process that
+never canonizes never loads it.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
-from bisect import bisect_left
 from functools import lru_cache
 from math import isqrt
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
@@ -33,14 +31,6 @@ MAX_TABLE_N = 7
 # while m fits its 53-bit significand.
 MAX_EXACT_BITS = 53
 _BATCH_BYTES = 2**24  # float64 codes one (rows, permutations) product may hold
-# Largest n of graph6's four-byte vertex count; beyond it the eight-byte
-# form would be needed.
-GRAPH6_MAX_N = 258047
-_CHUNK_BYTES = 2**20  # graph6 body bytes encoded at a time
-# graph6 digits are the six-bit values 0..63 written as bytes 63..126.
-_GRAPH6_DIGITS = bytes(range(63, 127))
-_TO_DIGIT = bytes((b + 63) % 256 for b in range(256))
-_GRAPH6_HEADER = b">>graph6<<"  # optional, before the string
 
 
 def num_pairs(n: int) -> int:
@@ -150,114 +140,3 @@ def min_codes(bits: np.ndarray, n: int) -> np.ndarray:
             np.minimum(best[start:start + rows_per_pass], codes,
                        out=best[start:start + rows_per_pass])
     return best.astype(np.int64)
-
-
-def graph6_chunks(n: int, slots) -> Iterator[bytes]:
-    """graph6 encoding of the labeled graph whose set column-order pairs are slots.
-
-    n <= 62 takes one header byte, n up to GRAPH6_MAX_N the long form:
-    '~' and n in three 6-bit bytes.  The header comes first, then the body
-    in pieces of at most _CHUNK_BYTES, so memory stays at one piece however
-    large the body (5.5 GB of it at GRAPH6_MAX_N).  Only the set pairs are
-    visited.  ValueError, at the first piece, outside 0 <= n <= GRAPH6_MAX_N.
-    """
-    if not 0 <= n <= GRAPH6_MAX_N:
-        raise ValueError(f"graph6 output supported for 0 <= n <= {GRAPH6_MAX_N} only")
-    head = [n] if n <= 62 else [63, n >> 12, (n >> 6) & 63, n & 63]
-    yield bytes(head).translate(_TO_DIGIT)
-    slots = sorted(slots)
-    size = (num_pairs(n) + 5) // 6
-    lo = 0
-    for start in range(0, size, _CHUNK_BYTES):
-        chunk = bytearray(min(_CHUNK_BYTES, size - start))
-        hi = bisect_left(slots, 6 * (start + len(chunk)), lo)
-        for s in slots[lo:hi]:
-            chunk[s // 6 - start] |= 32 >> s % 6
-        lo = hi
-        yield chunk.translate(_TO_DIGIT)
-
-
-def _graph6_stripped(pieces: Iterable[bytes]) -> Iterator[bytes]:
-    """The nonempty pieces of b"".join(pieces).strip(), one at a time.
-
-    Whitespace is held back until data follows it; whitespace inside the
-    string is a graph6 byte out of range, refused there.
-    """
-    started = held = False
-    for piece in pieces:
-        if not started:
-            piece = piece.lstrip()
-            started = bool(piece)
-        core = piece.rstrip()
-        if core:
-            if held:
-                raise ValueError("graph6 byte out of range")
-            yield core
-            held = len(core) < len(piece)
-        else:
-            held = held or bool(piece)
-
-
-def _check_digits(piece: bytes) -> None:
-    if piece.translate(None, _GRAPH6_DIGITS):
-        raise ValueError("graph6 byte out of range")
-
-
-def _graph6_count(head: bytes) -> tuple[int, int]:
-    """Vertex count at the start of a graph6 string, and the body's offset."""
-    if head[0] < 126:
-        return head[0] - 63, 1
-    if len(head) < 4:
-        raise ValueError("truncated graph6 vertex count")
-    if head[1] == 126:
-        raise ValueError(f"graph6 input supported for n <= {GRAPH6_MAX_N} only")
-    n = ((head[1] - 63) << 12) | ((head[2] - 63) << 6) | (head[3] - 63)
-    if n <= 62:
-        raise ValueError("graph6 long form used for n <= 62")
-    return n, 4
-
-
-def graph6_slots(pieces: Iterable[bytes]) -> tuple[int, list[int]]:
-    """Decode a graph6 string, given in pieces, to (n, set column-order pairs, ascending).
-
-    The pieces joined and stripped of surrounding whitespace are the string,
-    optionally after a >>graph6<< header.  They are read one at a time, so
-    memory stays at one piece and the set pairs however large the body, and
-    only the nonzero body bytes are unpacked.  Raises ValueError on bad
-    length, out-of-range bytes, nonzero padding, or a vertex count outside
-    0..GRAPH6_MAX_N in its shortest form; a byte out of range is named
-    first, wherever it is.
-    """
-    pieces = _graph6_stripped(pieces)
-    head = b""
-    for piece in pieces:  # enough for the header and the vertex count
-        head += piece
-        if len(head) >= len(_GRAPH6_HEADER) + 4:
-            break
-    if head.startswith(_GRAPH6_HEADER):
-        head = head[len(_GRAPH6_HEADER):]
-    if not head:
-        raise ValueError("empty graph6 string")
-    _check_digits(head)
-    try:
-        n, start = _graph6_count(head)
-    except ValueError:
-        for piece in pieces:
-            _check_digits(piece)
-        raise
-    m = num_pairs(n)
-    size = (m + 5) // 6
-    slots = []
-    seen = 0  # body bytes before this piece
-    for piece in itertools.chain([head[start:]], pieces):
-        _check_digits(piece)
-        if seen < size:  # past the body's length only the range is checked
-            for digit in re.finditer(rb"[^?]", piece):  # '?' is the zero digit
-                value, base = piece[digit.start()] - 63, 6 * (seen + digit.start())
-                slots.extend(base + b for b in range(6) if value >> (5 - b) & 1)
-        seen += len(piece)
-    if seen != size:
-        raise ValueError("graph6 body has wrong length")
-    if slots and slots[-1] >= m:
-        raise ValueError("nonzero graph6 padding bits")
-    return n, slots

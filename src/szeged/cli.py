@@ -20,13 +20,13 @@ import sys
 from contextlib import nullcontext
 from typing import Iterator
 
-from . import _canon
-from ._canon import GRAPH6_MAX_N, num_pairs
+from . import formats
+from ._canon import num_pairs
 from .enumeration import MAX_N, MAX_N_PRUNED, check_scope
 from .errors import Disconnected, FormatError, GraphError, TooLarge
 from .extremal import TreeSpec, c5_two_trees, cycle_with_tree
-from .formats import (emit_edgelist, emit_graph6_chunks, parse_decimal, parse_edgelist,
-                      parse_graph6_chunks)
+from .formats import (GRAPH6_MAX_N, emit_edgelist, emit_graph6_chunks, parse_decimal,
+                      parse_edgelist, parse_graph6_chunks)
 from .graphs import Graph, apsp
 from .invariants import index_report, pi
 from .verify import THEOREMS, universe_filter, verify_lemmas, verify_theorem
@@ -44,7 +44,7 @@ def _input_pieces(path: str) -> Iterator[bytes]:
     name = "standard input" if path == "-" else path
     try:
         with nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
-            while piece := fh.read(_canon._CHUNK_BYTES):
+            while piece := fh.read(formats.CHUNK_BYTES):
                 if not piece.isascii():
                     raise FormatError(f"{name} is not ASCII text")
                 yield piece

@@ -10,12 +10,8 @@ from .errors import (
     GraphError,
     NotACycle,
     SelfLoop,
-    TooLarge,
     VertexOutOfRange,
 )
-
-# canonical_form sweeps all n! labelings; beyond this it is refused.
-CANON_MAX_N = 10
 
 
 class Graph:
@@ -386,16 +382,3 @@ def graph_from_slots(n: int, slots) -> Graph:
     if n < 1:
         raise GraphError(f"vertex count must be positive, got {n}")
     return Graph(n, tuple(sorted(map(_canon.pair_at, slots))))
-
-
-def canonical_form(g: Graph) -> bytes:
-    """Smallest adjacency-bit string over all relabelings, as graph6 bytes.
-
-    Equal strings iff isomorphic.  Brute force over n! labelings (the batch
-    sweep of _canon.min_codes, which loads numpy), so refused (TooLarge)
-    beyond n = 10.
-    """
-    if g.n > CANON_MAX_N:
-        raise TooLarge(f"canonical form is brute force; n={g.n} > {CANON_MAX_N}")
-    code = int(_canon.min_codes([adjacency_bits(g)], g.n)[0])
-    return b"".join(_canon.graph6_chunks(g.n, _canon.code_slots(code, g.n)))

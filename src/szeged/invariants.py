@@ -7,7 +7,7 @@ term (n_u + n_0/2)(n_v + n_0/2) has denominator exactly 4, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import lt
 
 from .errors import Disconnected, NotAnEdge, SamePair, TooLarge
@@ -59,18 +59,7 @@ class IndexReport:
     odd_girth: int | None
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "wiener": self.wiener,
-            "szeged": self.szeged,
-            "revised_szeged_x4": self.revised_szeged_x4,
-            "gap_sz": self.gap_sz,
-            "gap_rsz_x4": self.gap_rsz_x4,
-            "bipartite": self.bipartite,
-            "girth": self.girth,
-            "odd_girth": self.odd_girth,
-        }
+        return asdict(self)
 
 
 def _require_connected(dm: DistanceMatrix) -> None:

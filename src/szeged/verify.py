@@ -15,7 +15,8 @@ from .extremal import (  # THEOREMS and universe_filter stay importable here
     theorem_bound,
     universe_filter,
 )
-from .graphs import Graph, apsp, blocks, canonical_form, girth
+from .formats import canonical_form
+from .graphs import Graph, apsp, blocks, girth
 from .invariants import blocks_all_complete, index_report, pi, szeged, wiener
 
 

@@ -267,37 +267,6 @@ class TestConstruct:
         assert (g.n, g.m) == (100, 100)
 
 
-def peak_rss_mb(args, stdin):
-    """Exit code and peak RSS in MB of one cold CLI run, its output discarded."""
-    proc = subprocess.Popen([sys.executable, "-m", "szeged.cli", *args],
-                            stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, env=COLD_ENV)
-    proc.stdin.write(stdin.encode("ascii"))
-    proc.stdin.close()
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, usage.ru_maxrss / 1024
-
-
-class TestGraph6Output:
-    """graph6 output is written piece by piece, as emit_graph6 would encode it."""
-
-    def test_several_pieces(self, capsys, monkeypatch):
-        # 4,000 vertices: a 1.3 MB body, more than one piece.
-        g = build_graph(4000, [(0, 1), (5, 3999), (1000, 3998)])
-        code, out, _ = run(capsys, monkeypatch,
-                           ["convert", "--from", "edgelist", "--to", "graph6"],
-                           stdin=emit_edgelist(g))
-        assert code == 0 and out == szeged.emit_graph6(g).decode("ascii") + "\n"
-
-    def test_memory_stays_near_edgelist_output(self):
-        # An empty graph on 40,000 vertices has a 133 MB graph6 body.
-        args = ["convert", "--from", "edgelist", "--to"]
-        code_e, rss_e = peak_rss_mb(args + ["edgelist"], "40000 0\n")
-        code_g, rss_g = peak_rss_mb(args + ["graph6"], "40000 0\n")
-        assert code_e == code_g == 0
-        assert rss_g < 2 * rss_e
-
-
 # Runs main(argv) in a new interpreter, then reports its exit code and its
 # own peak RSS in kB.  VmHWM counts this image only, where ru_maxrss can
 # carry over exec the RSS of the process that spawned it.
@@ -325,6 +294,25 @@ def own_peak_rss_mb(argv, stdin):
     return int(kb) / 1024
 
 
+class TestGraph6Output:
+    """graph6 output is written piece by piece, as emit_graph6 would encode it."""
+
+    def test_several_pieces(self, capsys, monkeypatch):
+        # 4,000 vertices: a 1.3 MB body, more than one piece.
+        g = build_graph(4000, [(0, 1), (5, 3999), (1000, 3998)])
+        code, out, _ = run(capsys, monkeypatch,
+                           ["convert", "--from", "edgelist", "--to", "graph6"],
+                           stdin=emit_edgelist(g))
+        assert code == 0 and out == szeged.emit_graph6(g).decode("ascii") + "\n"
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    def test_memory_stays_near_edgelist_output(self):
+        # An empty graph on 40,000 vertices has a 133 MB graph6 body.
+        args = ["convert", "--from", "edgelist", "--to"]
+        rss_e = own_peak_rss_mb(args + ["edgelist"], b"40000 0\n")
+        assert own_peak_rss_mb(args + ["graph6"], b"40000 0\n") < 2 * rss_e
+
+
 class TestGraph6Input:
     """graph6 input is read and decoded piece by piece, from a file or stdin."""
 
@@ -333,22 +321,36 @@ class TestGraph6Input:
     @pytest.mark.parametrize("size", [1, 2, 3, 5])
     def test_small_pieces_decode_like_parse_graph6(self, capsys, monkeypatch, tmp_path,
                                                    size):
-        monkeypatch.setattr("szeged._canon._CHUNK_BYTES", size)
+        monkeypatch.setattr("szeged.formats.CHUNK_BYTES", size)
+        # Count the pieces the CLI reads, so that a piece size bound at import,
+        # which the patch above would not reach, fails here.
+        read = szeged.cli._input_pieces
+        counts = []
+
+        def counted(path):
+            counts.append(0)
+            for piece in read(path):
+                counts[-1] += 1
+                yield piece
+
+        monkeypatch.setattr("szeged.cli._input_pieces", counted)
         rng = random.Random(size)
         path = tmp_path / "g.g6"
         for _ in range(12):
             n = rng.choice([rng.randint(1, 62), rng.randint(63, 100)])
             edges = [p for p in oracles.pairs_rowmajor(n) if rng.random() < 0.1]
-            text = rng.choice(["", ">>graph6<<"]) + szeged.emit_graph6(
-                build_graph(n, edges)).decode("ascii") + "\n"
-            want = emit_edgelist(parse_graph6(text))
+            g = build_graph(n, edges)
+            text = rng.choice(["", ">>graph6<<"]) + szeged.emit_graph6(g).decode() + "\n"
+            want = emit_edgelist(g)
+            counts.clear()
             assert run(capsys, monkeypatch, self.FROM_GRAPH6, stdin=text) == (0, want, "")
             path.write_text(text)
             assert run(capsys, monkeypatch, self.FROM_GRAPH6 + [str(path)]) == (0, want, "")
+            assert counts == [-(-len(text) // size)] * 2
 
     @pytest.mark.parametrize("size", [1, 2, 3, 5])
     def test_small_pieces_keep_errors(self, capsys, monkeypatch, size):
-        monkeypatch.setattr("szeged._canon._CHUNK_BYTES", size)
+        monkeypatch.setattr("szeged.formats.CHUNK_BYTES", size)
         for text, message in oracles.GRAPH6_ERRORS:
             for argv in (self.FROM_GRAPH6, ["compute", "--format", "graph6"]):
                 code, out, err = run(capsys, monkeypatch, argv, stdin=text)

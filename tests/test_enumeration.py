@@ -12,7 +12,8 @@ import pytest
 
 import oracles
 from szeged import _canon, enumeration
-from szeged.graphs import CANON_MAX_N, graph_from_slots
+from szeged.formats import CANON_MAX_N
+from szeged.graphs import graph_from_slots
 from szeged import (
     TooLarge,
     UniverseFilter,

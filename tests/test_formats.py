@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 import oracles
-from szeged import _canon
+from szeged import _canon, formats
 from szeged import (
     FormatError,
     adjacency_bits,
@@ -169,12 +169,12 @@ class TestGraph6:
             assert canonical_form(g) == oracles.graph6_oracle(n, canon)
 
     def test_sparse_large_matches_definition(self):
-        # 40,000 vertices, a 133 MB body in pieces of at most _CHUNK_BYTES.
+        # 40,000 vertices, a 133 MB body in pieces of at most CHUNK_BYTES.
         # Edges fall on the pieces' ends and at random; each body byte is
         # checked against the set bits the definition puts there.
         n = 40_000
         rng = random.Random(23)
-        ends = [6 * _canon._CHUNK_BYTES * k + d for k in (1, 2, 50) for d in (-1, 0)]
+        ends = [6 * formats.CHUNK_BYTES * k + d for k in (1, 2, 50) for d in (-1, 0)]
         edges = {_canon.pair_at(s) for s in ends}
         edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(2000)}
         want = {}
@@ -185,7 +185,7 @@ class TestGraph6:
         assert next(pieces) == bytes(63 + d for d in (63, n >> 12, n >> 6 & 63, n & 63))
         got, size = {}, 0
         for piece in pieces:
-            assert len(piece) <= _canon._CHUNK_BYTES
+            assert len(piece) <= formats.CHUNK_BYTES
             got.update((size + hit.start(), piece[hit.start()] - 63)
                        for hit in re.finditer(rb"[^?]", piece))
             size += len(piece)
@@ -241,12 +241,17 @@ class TestGraph6Pieces:
 
     def test_reads_one_piece_at_a_time(self):
         # The empty 40,000-vertex graph: 133 MB of graph6 in pieces of 1 MB,
-        # decoded in a few pieces' worth of memory.
-        tracemalloc.start()
-        try:
-            g = parse_graph6_chunks(emit_graph6_chunks(build_graph(40_000, [])))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (g.n, g.m) == (40_000, 0)
-        assert peak < 10 * _canon._CHUNK_BYTES
+        # or as one string, bytes or str, that parse_graph6 slices instead of
+        # copying, decoded in a few pieces' worth of memory.
+        data = emit_graph6(build_graph(40_000, []))
+        text = data.decode("ascii")
+        for decode in (lambda: parse_graph6_chunks(emit_graph6_chunks(build_graph(40_000, []))),
+                       lambda: parse_graph6(data), lambda: parse_graph6(text)):
+            tracemalloc.start()
+            try:
+                g = decode()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (g.n, g.m) == (40_000, 0)
+            assert peak < 10 * formats.CHUNK_BYTES
