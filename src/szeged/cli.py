@@ -42,6 +42,8 @@ PAIRS_MAX_WORK = 45_400_000
 def _input_pieces(path: str) -> Iterator[bytes]:
     """The bytes of a file, or of stdin for "-", in pieces; FormatError unless ASCII."""
     name = "standard input" if path == "-" else path
+    if path == "-" and sys.stdin is None:  # fd 0 was closed at start
+        raise FormatError("standard input is closed")
     try:
         with nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
             while piece := fh.read(formats.CHUNK_BYTES):
@@ -272,6 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if sys.stdout is None:
+        # fd 1 was closed at start: stand in a pipe with no reader, so that
+        # a write fails as it does when a reader has gone.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        sys.stdout = open(write_end, "w")
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed reader surfaces here, not at exit

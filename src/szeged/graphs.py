@@ -103,27 +103,31 @@ def relabel(g: Graph, perm) -> Graph:
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
-def _bfs(g: Graph, src: int, cap: int | None = None):
-    """BFS depth and parent lists from src; None where unreached.
+def _bfs(g: Graph, roots, cap: int | None = None):
+    """BFS forest depth and parent lists; None where unreached.
 
-    cap, if given, stops the search after the layer at that depth.
+    Each root that an earlier root did not reach starts its own tree at
+    depth 0.  cap, if given, stops each tree after the layer at that depth.
     """
     depth: list[int | None] = [None] * g.n
     parent: list[int | None] = [None] * g.n
-    depth[src] = 0
     adj = g.adj
-    frontier = [src]
-    d = 0
-    while frontier and (cap is None or d < cap):
-        d += 1
-        layer = []
-        for u in frontier:
-            for v in adj[u]:
-                if depth[v] is None:
-                    depth[v] = d
-                    parent[v] = u
-                    layer.append(v)
-        frontier = layer
+    for root in roots:
+        if depth[root] is not None:
+            continue
+        depth[root] = 0
+        frontier = [root]
+        d = 0
+        while frontier and (cap is None or d < cap):
+            d += 1
+            layer = []
+            for u in frontier:
+                for v in adj[u]:
+                    if depth[v] is None:
+                        depth[v] = d
+                        parent[v] = u
+                        layer.append(v)
+            frontier = layer
     return depth, parent
 
 
@@ -146,12 +150,12 @@ class DistanceMatrix:
 
 def apsp(g: Graph) -> DistanceMatrix:
     """Breadth-first distances from every vertex."""
-    return DistanceMatrix(g.n, tuple(tuple(_bfs(g, s)[0]) for s in range(g.n)))
+    return DistanceMatrix(g.n, tuple(tuple(_bfs(g, (s,))[0]) for s in range(g.n)))
 
 
 def is_connected(g: Graph) -> bool:
     """True iff one BFS from vertex 0 reaches every vertex."""
-    return None not in _bfs(g, 0)[0]
+    return None not in _bfs(g, (0,))[0]
 
 
 class BipartiteCheck:
@@ -194,20 +198,16 @@ def _tree_cycle(parent: list[int | None], depth: list[int | None],
 
 
 def is_bipartite(g: Graph) -> BipartiteCheck:
-    """2-color by BFS; on failure return a simple odd cycle instead."""
-    color: list[int | None] = [None] * g.n
-    for start in range(g.n):
-        if color[start] is not None:
-            continue
-        depth, parent = _bfs(g, start)
-        for v in range(g.n):
-            if depth[v] is not None:
-                color[v] = depth[v] % 2
-        for u, v in g.edges:
-            if depth[u] is not None and color[u] == color[v]:
-                cycle = _tree_cycle(parent, depth, u, v)
-                return BipartiteCheck(False, None, cycle)
-    return BipartiteCheck(True, tuple(color), None)
+    """2-color by BFS depth parity; on failure return a simple odd cycle instead.
+
+    The witness closes the first edge, in edge order, whose ends share a
+    depth: the depths of adjacent vertices differ by at most one.
+    """
+    depth, parent = _bfs(g, range(g.n))
+    for u, v in g.edges:
+        if depth[u] == depth[v]:
+            return BipartiteCheck(False, None, _tree_cycle(parent, depth, u, v))
+    return BipartiteCheck(True, tuple(d % 2 for d in depth), None)
 
 
 class CycleInfo:
@@ -230,12 +230,14 @@ class CycleInfo:
 
 def _shortest_cycle(g: Graph, odd: bool) -> CycleInfo:
     """Shortest cycle, or shortest odd cycle if odd; see girth."""
+    if g.m < g.n and g.m == g.n - _bfs(g, range(g.n))[0].count(0):
+        return CycleInfo(None, ())  # a forest: one edge fewer than vertices per tree
     best_len = g.n + 1  # longer than any cycle
     best: tuple[int, ...] = ()
     for root in range(g.n):
         if best_len == 3:  # nothing is shorter than a triangle
             break
-        depth, parent = _bfs(g, root, (best_len - 1) // 2)
+        depth, parent = _bfs(g, (root,), (best_len - 1) // 2)
         for u, v in g.edges:
             du, dv = depth[u], depth[v]
             if du is None or dv is None or du + dv + 1 >= best_len:
@@ -255,7 +257,8 @@ def girth(g: Graph) -> CycleInfo:
     some edge when the root lies on a shortest cycle.  So each BFS stops
     at the depth beyond which no cycle shorter than the best so far can
     close, only edges whose bound beats the best are candidates, and the
-    tree cycle is built once per improvement.
+    tree cycle is built once per improvement.  A forest is recognised
+    first, by one BFS forest, instead of by n searches that find nothing.
     """
     return _shortest_cycle(g, odd=False)
 
@@ -280,55 +283,49 @@ class BlockDecomposition:
 
 
 def blocks(g: Graph) -> BlockDecomposition:
-    """DFS lowpoint decomposition; isolated vertices give singleton blocks."""
+    """DFS lowpoint decomposition; isolated vertices give singleton blocks.
+
+    Hopcroft and Tarjan (1973): vertices are stacked as the search reaches
+    them.  When it backs out of u into its parent p with low[u] >= depth[p],
+    p and the vertices stacked from u on form a block.
+    """
+    adj = g.adj
     depth: list[int | None] = [None] * g.n
     low = [0] * g.n
-    parent: list[int | None] = [None] * g.n
-    edge_stack: list[tuple[int, int]] = []
     found: list[frozenset[int]] = []
 
     for start in range(g.n):
         if depth[start] is not None:
             continue
-        if not g.adj[start]:
+        if not adj[start]:
             found.append(frozenset([start]))
             continue
         depth[start] = 0
-        stack = [(start, iter(g.adj[start]))]
-        while stack:
-            u, neighbors = stack[-1]
-            advanced = False
+        stack = [start]
+        path = [(start, None, iter(adj[start]))]
+        while path:
+            u, p, neighbors = path[-1]
             for v in neighbors:
-                if v == parent[u]:
-                    # Skip one tree-edge backtrack; simple graph, so the
-                    # parent appears exactly once in adj[u].
-                    parent[u] = -1
-                    continue
                 if depth[v] is None:
-                    edge_stack.append((u, v))
-                    depth[v] = depth[u] + 1
-                    low[v] = depth[v]
-                    parent[v] = u
-                    stack.append((v, iter(g.adj[v])))
-                    advanced = True
+                    depth[v] = low[v] = depth[u] + 1
+                    stack.append(v)
+                    path.append((v, u, iter(adj[v])))
                     break
-                if depth[v] < depth[u]:
-                    edge_stack.append((u, v))
-                    low[u] = min(low[u], depth[v])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
+                # Simple graph: the parent appears once in adj[u], as the
+                # tree edge, and is the one visited neighbour to skip.
+                if v != p and depth[v] < low[u]:
+                    low[u] = depth[v]
+            else:
+                path.pop()
+                if p is None:
+                    continue
                 low[p] = min(low[p], low[u])
                 if low[u] >= depth[p]:
-                    members = set()
-                    while True:
-                        a, b = edge_stack.pop()
-                        members.add(a)
-                        members.add(b)
-                        if (a, b) == (p, u):
-                            break
+                    # Pop down to u: looking u up in the stack would scan it
+                    # from the bottom, quadratic on long paths.
+                    members = [p]
+                    while members[-1] != u:
+                        members.append(stack.pop())
                     found.append(frozenset(members))
     found.sort(key=sorted)
     return BlockDecomposition(tuple(found))

@@ -287,3 +287,20 @@ def random_connected_graph(rng, max_n=10, min_n=2):
         if (i, j) not in edges and rng.random() < extra * 0.5:
             edges.add((i, j))
     return n, sorted(edges)
+
+
+def random_graph_with_components(rng, max_n=8):
+    """Random connected pieces of 2-4 vertices and isolated vertices.
+
+    Two pieces at least when max_n >= 8; the labels are shuffled, so the
+    pieces interleave.
+    """
+    n, edges = 0, []
+    while n + (size := rng.randint(1, 4)) <= max_n:
+        if size > 1:
+            _, piece = random_connected_graph(rng, max_n=size, min_n=size)
+            edges += [(u + n, v + n) for u, v in piece]
+        n += size
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return n, sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges)

@@ -318,22 +318,30 @@ class TestGraph6Input:
 
     FROM_GRAPH6 = ["convert", "--from", "graph6", "--to", "edgelist"]
 
+    @staticmethod
+    def record_pieces(monkeypatch):
+        """Wrap the CLI's reader; each read appends the list of its piece lengths.
+
+        Checking the pieces the CLI reads makes a piece size bound at import,
+        which a patch of formats.CHUNK_BYTES would not reach, fail the test.
+        """
+        read = szeged.cli._input_pieces
+        reads = []
+
+        def recorded(path):
+            reads.append([])
+            for piece in read(path):
+                reads[-1].append(len(piece))
+                yield piece
+
+        monkeypatch.setattr("szeged.cli._input_pieces", recorded)
+        return reads
+
     @pytest.mark.parametrize("size", [1, 2, 3, 5])
     def test_small_pieces_decode_like_parse_graph6(self, capsys, monkeypatch, tmp_path,
                                                    size):
         monkeypatch.setattr("szeged.formats.CHUNK_BYTES", size)
-        # Count the pieces the CLI reads, so that a piece size bound at import,
-        # which the patch above would not reach, fails here.
-        read = szeged.cli._input_pieces
-        counts = []
-
-        def counted(path):
-            counts.append(0)
-            for piece in read(path):
-                counts[-1] += 1
-                yield piece
-
-        monkeypatch.setattr("szeged.cli._input_pieces", counted)
+        reads = self.record_pieces(monkeypatch)
         rng = random.Random(size)
         path = tmp_path / "g.g6"
         for _ in range(12):
@@ -342,19 +350,24 @@ class TestGraph6Input:
             g = build_graph(n, edges)
             text = rng.choice(["", ">>graph6<<"]) + szeged.emit_graph6(g).decode() + "\n"
             want = emit_edgelist(g)
-            counts.clear()
+            reads.clear()
             assert run(capsys, monkeypatch, self.FROM_GRAPH6, stdin=text) == (0, want, "")
             path.write_text(text)
             assert run(capsys, monkeypatch, self.FROM_GRAPH6 + [str(path)]) == (0, want, "")
-            assert counts == [-(-len(text) // size)] * 2
+            assert [len(pieces) for pieces in reads] == [-(-len(text) // size)] * 2
 
     @pytest.mark.parametrize("size", [1, 2, 3, 5])
     def test_small_pieces_keep_errors(self, capsys, monkeypatch, size):
         monkeypatch.setattr("szeged.formats.CHUNK_BYTES", size)
+        reads = self.record_pieces(monkeypatch)
         for text, message in oracles.GRAPH6_ERRORS:
             for argv in (self.FROM_GRAPH6, ["compute", "--format", "graph6"]):
                 code, out, err = run(capsys, monkeypatch, argv, stdin=text)
                 assert (code, out, err) == (3, "", f"error: {message}\n"), text
+        # A fault stops the read early, so the number of pieces is not fixed;
+        # their size is, and some case must have taken more than one.
+        assert all(length <= size for pieces in reads for length in pieces)
+        assert any(len(pieces) > 1 for pieces in reads)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
     def test_memory_stays_at_a_piece(self, tmp_path):
@@ -622,6 +635,62 @@ class TestClosedOutput:
             os.close(write_end)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+def cold_closed(fd, args, **kwargs):
+    """cold(args) in a child whose file descriptor fd is closed from the start."""
+    return subprocess.run(["sh", "-c", f'exec "$@" {fd}>&-', "sh", sys.executable, *args],
+                          env=COLD_ENV, **kwargs)
+
+
+class TestClosedAtStart:
+    """A stdin or stdout closed before the command starts: one error line, no traceback.
+
+    A closed stderr is not covered: the error line has nowhere to go.
+    """
+
+    @pytest.mark.parametrize("argv", [
+        ["compute"],
+        ["compute", "--format", "graph6"],
+        ["convert", "--from", "edgelist", "--to", "graph6", "-"],
+    ])
+    def test_closed_stdin_is_unusable_input(self, argv):
+        proc = cold_closed(0, ["-m", "szeged.cli", *argv], capture_output=True,
+                           text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: standard input is closed\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["compute"],
+        ["compute", "--json", "--pairs"],
+        ["convert", "--from", "edgelist", "--to", "graph6"],
+        ["construct", "--family", "cycle-tree", "--cycle", "5", "--tree", "1"],
+        ["verify", "--theorem", "thm3", "--n", "5", "--json"],
+        ["lemmas", "--n", "5"],
+    ])
+    def test_closed_stdout_exits_two(self, argv):
+        proc = cold_closed(1, ["-m", "szeged.cli", *argv], input="3 2\n0 1\n1 2\n",
+                           stderr=subprocess.PIPE, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: standard output closed before all was written\n"
+
+    def test_input_errors_come_before_the_closed_stdout(self):
+        proc = cold_closed(1, ["-m", "szeged.cli", "compute"], input="bad\n",
+                           stderr=subprocess.PIPE, text=True, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stderr == "error: header must be 'n m', got 'bad'\n"
+
+    def test_verify_out_file_needs_no_stdout(self, tmp_path):
+        argv = ["-m", "szeged.cli", "verify", "--theorem", "thm3", "--n", "5", "--json"]
+        path = tmp_path / "reports.jsonl"
+        proc = cold_closed(1, argv + ["--out", str(path)], stderr=subprocess.PIPE,
+                           text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        opened = cold(argv, capture_output=True, text=True, timeout=60)
+        assert opened.returncode == 0
+        got, want = json.loads(path.read_text()), json.loads(opened.stdout)
+        got["elapsed_ms"] = want["elapsed_ms"] = 0
+        assert got == want
 
 
 # Runs main(argv) in a new interpreter, then reports the numpy modules loaded.

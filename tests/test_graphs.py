@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,24 @@ PETERSEN = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
 def small_connected(max_n):
     for n in range(1, max_n + 1):
         yield from enumerate_connected(UniverseFilter(n))
+
+
+def with_components(count, seed):
+    """Seeded random graphs of several components, isolated vertices among them."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield build_graph(*oracles.random_graph_with_components(rng))
+
+
+# Odd cycles in two components, and an isolated vertex: the search reaches
+# {0, 5, 6} first, while (2, 3) is the first edge, in edge order, to close one.
+TWO_TRIANGLES = build_graph(7, [(0, 5), (0, 6), (5, 6), (1, 2), (1, 3), (2, 3)])
+
+
+def seconds(fn, *args):
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
 
 
 class TestBuildGraph:
@@ -156,17 +175,36 @@ class TestBipartite:
             edges = [(rng.randint(0, i - 1), i) for i in range(1, n)]
             assert is_bipartite(build_graph(n, edges))
 
+    @staticmethod
+    def assert_certificate(g, check):
+        if check:
+            assert check.odd_cycle is None and len(check.coloring) == g.n
+            assert set(check.coloring) <= {0, 1}
+            for u, v in g.edges:
+                assert check.coloring[u] != check.coloring[v]
+        else:
+            cyc = check.odd_cycle
+            assert check.coloring is None
+            assert len(cyc) % 2 == 1 and len(set(cyc)) == len(cyc)
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                assert g.has_edge(a, b)
+
     def test_certificates_exhaustively(self):
         for g in small_connected(6):
+            self.assert_certificate(g, is_bipartite(g))
+
+    def test_several_components_against_two_coloring(self):
+        for g in itertools.chain(with_components(60, seed=3), [TWO_TRIANGLES]):
             check = is_bipartite(g)
-            if check:
-                for u, v in g.edges:
-                    assert check.coloring[u] != check.coloring[v]
-            else:
-                cyc = check.odd_cycle
-                assert len(cyc) % 2 == 1 and len(set(cyc)) == len(cyc)
-                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                    assert g.has_edge(a, b)
+            assert bool(check) == oracles.bipartite_2color(g.n, g.edges)
+            self.assert_certificate(g, check)
+
+    @pytest.mark.parametrize("edges", [[], [(2 * i, 2 * i + 1) for i in range(10_000)]],
+                             ids=["empty", "matching"])
+    def test_many_components_take_one_pass(self, edges):
+        g = build_graph(20_000, edges)
+        assert seconds(is_bipartite, g) < 1.0
+        self.assert_certificate(g, is_bipartite(g))
 
 
 class TestGirth:
@@ -246,6 +284,20 @@ def test_shortest_cycles_against_cycle_search(seed):
                           oracles.girth_cycle_search(n, edges, parity="odd"))
 
 
+def test_shortest_cycles_with_several_components():
+    for g in itertools.chain(with_components(60, seed=5), [TWO_TRIANGLES]):
+        _assert_cycle_witness(g, girth(g), oracles.girth_cycle_search(g.n, g.edges))
+        _assert_cycle_witness(g, odd_girth(g),
+                              oracles.girth_cycle_search(g.n, g.edges, parity="odd"))
+
+
+@pytest.mark.parametrize("shortest", [girth, odd_girth])
+def test_forest_is_told_apart_in_linear_time(shortest):
+    g = path_graph(5000)
+    assert seconds(shortest, g) < 1.0
+    assert shortest(g).is_acyclic
+
+
 def test_girth_against_networkx_on_sparse_graphs():
     nx = pytest.importorskip("networkx")
     rng = random.Random(2024)
@@ -286,6 +338,16 @@ class TestBlocks:
             n, edges = oracles.random_connected_graph(rng, max_n=6)
             g = build_graph(n, edges)
             assert list(blocks(g).blocks) == oracles.blocks_oracle(n, edges)
+
+    def test_several_components_against_cycle_sharing_oracle(self):
+        for g in itertools.chain(with_components(40, seed=7), [TWO_TRIANGLES]):
+            assert list(blocks(g).blocks) == oracles.blocks_oracle(g.n, g.edges)
+
+    def test_long_path_in_linear_time(self):
+        # Closing each block must not search the vertex stack from the bottom.
+        g = path_graph(20_000)
+        assert seconds(blocks, g) < 1.0
+        assert blocks(g).blocks == tuple(frozenset((i, i + 1)) for i in range(19_999))
 
 
 class TestIsometricCycle:
