@@ -4,13 +4,14 @@ A labeled graph on n vertices is a 0/1 vector over the C(n,2) vertex pairs in
 column order (0,1), (0,2), (1,2), (0,3), ... — the same order graph6 uses.
 Read as an m-bit integer with the first pair as the top bit, it is the graph's
 code; the canonical code is the smallest code over all vertex relabelings.
-Whole batches of rows are swept through all n! relabelings in blocks of at
-most MAX_TABLE_N!: each block's relabeled codes are one exact float64 matrix
-product of the gathered bit rows with a table of powers of two.
 
-numpy is imported by the batch functions themselves, on the first
-canonization: codes and slots are plain Python ints, so a process that
-never canonizes never loads it.
+Two functions find it.  min_code names one graph by a prefix search on
+Python ints, without numpy.  min_codes canonizes whole batches of rows,
+sweeping them through all n! relabelings in blocks of at most MAX_TABLE_N!:
+each block's relabeled codes are one exact float64 matrix product of the
+gathered bit rows with a table of powers of two.  numpy is imported by the
+batch functions themselves, on the first batch, so a process that only
+names graphs never loads it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import isqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -60,6 +61,71 @@ def code_slots(code: int, n: int) -> list[int]:
 def pair_list(n: int) -> tuple[tuple[int, int], ...]:
     """All pairs (i, j), i < j, in column order."""
     return tuple((i, j) for j in range(n) for i in range(j))
+
+
+def min_code(nbrs: Sequence[int]) -> int:
+    """Canonical code of the graph with neighbour bitmasks nbrs, the code
+    min_codes gives, by a breadth-first prefix search.
+
+    Relabeled, the code is the columns of the vertices in their new order,
+    each the vertex's adjacency to those placed before it.  Columns have
+    fixed widths, so the smallest code places, at each depth, a vertex whose
+    column is the smallest over every placement still tied.  A state holds
+    the tied placements of one placed set as an ordered partition: each cell
+    is a clique or an independent set, and every other placed vertex is
+    adjacent to all of it or to none, so any order inside a cell gives the
+    same prefix (the ordered partitions of McKay and Piperno, J. Symb.
+    Comput. 60, 2014, searched here for the lex-min code).  Placing u splits every cell into its non-neighbours of u,
+    then its neighbours: that order is the one that gives u's column its
+    minimum, read off the cell sizes.  u joins the last cell if it is a twin
+    of its members on the placed set, and otherwise starts a cell of its
+    own.  States with the same cells are one state, and of the unplaced
+    vertices that are twins of each other (swapping them is an automorphism
+    fixing every placed vertex) only the first is tried.
+    """
+    n = len(nbrs)
+    earlier_twins = [sum(1 << w for w in range(u)
+                         if not (nbrs[u] ^ nbrs[w]) & ~(1 << u | 1 << w))
+                     for u in range(n)]
+    # cells -> the placed set, their union; the first column is empty.
+    states = {(1 << u,): 1 << u for u in range(n) if not earlier_twins[u]}
+    code = 0
+    for depth in range(1, n):
+        best, tied = 1 << depth, []  # above every column of depth bits
+        for cells, placed in states.items():
+            free = ~placed & (1 << n) - 1
+            while free:
+                u = (free & -free).bit_length() - 1
+                free &= free - 1
+                if earlier_twins[u] & ~placed:
+                    continue
+                row, col = nbrs[u], 0
+                for cell in cells:  # non-neighbours, the zeros, first
+                    col = col << cell.bit_count() | (1 << (cell & row).bit_count()) - 1
+                if col < best:
+                    best, tied = col, []
+                if col == best:
+                    tied.append((cells, placed, u))
+        code = code << depth | best
+        states = {}
+        for cells, placed, u in tied:
+            row = nbrs[u]
+            split = []
+            for cell in cells:
+                inside = cell & row
+                if inside != cell:
+                    split.append(cell ^ inside)
+                if inside:
+                    split.append(inside)
+            x = (split[-1] & -split[-1]).bit_length() - 1  # in the last cell
+            # u and x twins on the placed set: u sees the other cells as the
+            # cell does, and its members as x does, so the cell stays whole.
+            if not (row ^ nbrs[x]) & placed & ~(1 << x):
+                split[-1] |= 1 << u
+            else:
+                split.append(1 << u)
+            states[tuple(split)] = placed | 1 << u
+    return code
 
 
 def _pair_slots(images: np.ndarray, n: int) -> np.ndarray:

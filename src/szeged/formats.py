@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 from . import _canon
 from ._canon import num_pairs, pair_index
 from .errors import FormatError, GraphError, TooLarge
-from .graphs import Graph, adjacency_bits, build_graph, graph_from_slots
+from .graphs import Graph, build_graph, graph_from_slots
 
 # Largest n of graph6's four-byte vertex count; beyond it the eight-byte
 # form would be needed.
@@ -28,7 +28,8 @@ CHUNK_BYTES = 2**20
 _GRAPH6_DIGITS = bytes(range(63, 127))
 _TO_DIGIT = bytes((b + 63) % 256 for b in range(256))
 _GRAPH6_HEADER = b">>graph6<<"  # optional, before the string
-# canonical_form sweeps all n! labelings; beyond this it is refused.
+# Largest n canonical_form names: the n! sweep of _canon.min_codes, which
+# referees its prefix search in the tests, runs only this far.
 CANON_MAX_N = 10
 
 
@@ -222,11 +223,12 @@ def emit_graph6(g: Graph) -> bytes:
 def canonical_form(g: Graph) -> bytes:
     """Smallest adjacency-bit string over all relabelings, as graph6 bytes.
 
-    Equal strings iff isomorphic.  Brute force over n! labelings (the batch
-    sweep of _canon.min_codes, which loads numpy), so refused (TooLarge)
-    beyond n = CANON_MAX_N.
+    Equal strings iff isomorphic.  The code is the one the batch sweep
+    _canon.min_codes gives, found by the prefix search of _canon.min_code
+    on Python ints, so numpy is not loaded; refused (TooLarge) beyond
+    n = CANON_MAX_N.
     """
     if g.n > CANON_MAX_N:
-        raise TooLarge(f"canonical form is brute force; n={g.n} > {CANON_MAX_N}")
-    code = int(_canon.min_codes([adjacency_bits(g)], g.n)[0])
+        raise TooLarge(f"canonical form capped at n = {CANON_MAX_N}; n={g.n}")
+    code = _canon.min_code([sum(1 << v for v in row) for row in g.adj])
     return emit_graph6(graph_from_slots(g.n, _canon.code_slots(code, g.n)))

@@ -230,7 +230,10 @@ class CycleInfo:
 
 def _shortest_cycle(g: Graph, odd: bool) -> CycleInfo:
     """Shortest cycle, or shortest odd cycle if odd; see girth."""
-    if g.m < g.n and g.m == g.n - _bfs(g, range(g.n))[0].count(0):
+    if odd:
+        if is_bipartite(g):
+            return CycleInfo(None, ())  # no odd cycle
+    elif g.m < g.n and g.m == g.n - _bfs(g, range(g.n))[0].count(0):
         return CycleInfo(None, ())  # a forest: one edge fewer than vertices per tree
     best_len = g.n + 1  # longer than any cycle
     best: tuple[int, ...] = ()
@@ -268,7 +271,9 @@ def odd_girth(g: Graph) -> CycleInfo:
 
     The same capped scan as girth, restricted to edges joining two
     vertices on one BFS layer: such an edge closes an odd walk, and
-    collapsing it through the tree gives a simple odd cycle.
+    collapsing it through the tree gives a simple odd cycle.  A bipartite
+    graph is recognised first, by is_bipartite's one BFS forest, instead
+    of by n searches that find nothing.
     """
     return _shortest_cycle(g, odd=True)
 

@@ -720,6 +720,14 @@ class TestNumpyOnlyToEnumerate:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1] == "[]"
 
+    def test_naming_a_graph_leaves_it_out(self):
+        probe = ("import sys, szeged\n"
+                 "szeged.canonical_form(szeged.cycle_graph(10))\n"
+                 "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))")
+        proc = cold(["-c", probe], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_enumerating_loads_it(self):
         proc = cold(["-c", NUMPY_PROBE, "lemmas", "--n", "4"], capture_output=True,
                     text=True, timeout=60)

@@ -404,6 +404,62 @@ class TestMinCodes:
         assert time.perf_counter() - t0 < 1
 
 
+def neighbour_masks(g):
+    return [sum(1 << v for v in row) for row in g.adj]
+
+
+def labeled(rng, n, edges):
+    """The graph with these edges, in a random labeling."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(build_graph(n, edges), perm)
+
+
+def assert_min_code_matches_sweep(graphs, n):
+    rows = np.array([adjacency_bits(g) for g in graphs], np.uint8).reshape(len(graphs), -1)
+    want = _canon.min_codes(rows, n).tolist()
+    assert [_canon.min_code(neighbour_masks(g)) for g in graphs] == want
+
+
+# Symmetric 10-vertex graphs: many tied prefixes, and (but for Petersen and
+# C10) many twins.
+SYMMETRIC_TEN = {
+    "K10": [(i, j) for j in range(10) for i in range(j)],
+    "empty": [],
+    "5K2": [(2 * i, 2 * i + 1) for i in range(5)],
+    "K5,5": [(i, j) for i in range(5) for j in range(5, 10)],
+    "Petersen": [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                + [(i, i + 5) for i in range(5)],
+    "C10": [(i, (i + 1) % 10) for i in range(10)],
+}
+
+
+class TestMinCode:
+    """The prefix search against the n! sweep, its referee."""
+
+    def test_matches_sweep_on_atlas(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(1)
+        atlas = nx.graph_atlas_g()
+        for n in range(1, 8):
+            graphs = [labeled(rng, n, h.edges) for h in atlas if h.number_of_nodes() == n]
+            assert_min_code_matches_sweep(graphs, n)
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_matches_sweep_on_random_graphs(self, n):
+        # 150 graphs with densities spread evenly over (0, 1).
+        rng = random.Random(n)
+        graphs = [build_graph(n, [p for p in itertools.combinations(range(n), 2)
+                                  if rng.random() < (k + 0.5) / 150])
+                  for k in range(150)]
+        assert_min_code_matches_sweep(graphs, n)
+
+    @pytest.mark.parametrize("edges", SYMMETRIC_TEN.values(), ids=SYMMETRIC_TEN.keys())
+    def test_matches_sweep_on_symmetric_graphs(self, edges):
+        rng = random.Random(10)
+        assert_min_code_matches_sweep([labeled(rng, 10, edges) for _ in range(2)], 10)
+
+
 def naive_weight_columns(n):
     """Columns of the weight table, one per relabeling, built pair by pair."""
     m = _canon.num_pairs(n)

@@ -33,6 +33,7 @@ from szeged import (
     path_graph,
     relabel,
 )
+from szeged import graphs
 
 PAW = [(0, 1), (0, 2), (1, 2), (0, 3)]
 PETERSEN = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -239,6 +240,16 @@ class TestGirth:
 class TestOddGirth:
     def test_bipartite_marker(self):
         assert odd_girth(cycle_graph(4)).is_acyclic
+
+    def test_bipartite_graph_takes_one_forest_pass(self, monkeypatch):
+        # A bipartite graph with cycles is told apart by is_bipartite's one
+        # BFS forest, not by a capped search from every vertex.
+        calls = []
+        bfs = graphs._bfs
+        monkeypatch.setattr(graphs, "_bfs", lambda *a: calls.append(a) or bfs(*a))
+        g = build_graph(8, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (6, 7)])
+        assert odd_girth(g).is_acyclic
+        assert len(calls) == 1
 
     def test_paw(self):
         assert odd_girth(build_graph(4, PAW)).length == 3
