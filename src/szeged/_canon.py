@@ -1,37 +1,23 @@
-"""Bit-level canonical labeling machinery.
+"""Bit-level canonical labeling machinery, on Python ints.
 
 A labeled graph on n vertices is a 0/1 vector over the C(n,2) vertex pairs in
 column order (0,1), (0,2), (1,2), (0,3), ... — the same order graph6 uses.
 Read as an m-bit integer with the first pair as the top bit, it is the graph's
-code; the canonical code is the smallest code over all vertex relabelings.
+code under that labeling.
 
-Two functions find it.  min_code names one graph by a prefix search on
-Python ints, without numpy.  min_codes canonizes whole batches of rows,
-sweeping them through all n! relabelings in blocks of at most MAX_TABLE_N!:
-each block's relabeled codes are one exact float64 matrix product of the
-gathered bit rows with a table of powers of two.  numpy is imported by the
-batch functions themselves, on the first batch, so a process that only
-names graphs never loads it.
+Two canonizers give two canonical codes.  min_code finds the lex-min code,
+the smallest over all n! relabelings, by a prefix search; it names graphs.
+min_codes canonizes enumeration's levels by individualization-refinement:
+its code is the smallest over the leaves of a search tree that every
+labeling of a graph grows alike, so it is canonical and complete but in
+general not the lex-min code.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import isqrt
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
-
-# Weight tables cover at most MAX_TABLE_N! = 5,040 permutations (1.8 MB at
-# n = 10); larger n sweeps n!/MAX_TABLE_N! blocks of them, one per choice of
-# the first n - MAX_TABLE_N images.
-MAX_TABLE_N = 7
-# Codes are sums of distinct powers of two below 2^m, exact in float64 only
-# while m fits its 53-bit significand.
-MAX_EXACT_BITS = 53
-_BATCH_BYTES = 2**24  # float64 codes one (rows, permutations) product may hold
+from typing import Iterable, Sequence
 
 
 def num_pairs(n: int) -> int:
@@ -64,8 +50,8 @@ def pair_list(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def min_code(nbrs: Sequence[int]) -> int:
-    """Canonical code of the graph with neighbour bitmasks nbrs, the code
-    min_codes gives, by a breadth-first prefix search.
+    """Lex-min code of the graph with neighbour bitmasks nbrs, the smallest
+    over all n! relabelings, by a breadth-first prefix search.
 
     Relabeled, the code is the columns of the vertices in their new order,
     each the vertex's adjacency to those placed before it.  Columns have
@@ -128,81 +114,121 @@ def min_code(nbrs: Sequence[int]) -> int:
     return code
 
 
-def _pair_slots(images: np.ndarray, n: int) -> np.ndarray:
-    """Slot of the pair {images[i], images[j]} for each column-order pair (i, j).
+def _equitable(nbrs: Sequence[int], cells: list[int]) -> list[int]:
+    """Refine an ordered partition (cells as bitmasks) until it is equitable.
 
-    images is (n, P) int8, one vertex map per column; the result is (m, P)
-    int16, the slot of {hi, lo} (hi > lo) being hi*(hi-1)//2 + lo.
+    Each round splits every cell by the vertices' signatures, their
+    neighbour counts in each cell of the round's partition, and orders the
+    pieces by signature, so the result does not depend on the labeling.
     """
-    import numpy as np
+    n = len(nbrs)
+    width = n.bit_length()  # a count below n fits in width bits
+    while True:
+        split = []
+        for cell in cells:
+            if not cell & cell - 1:
+                split.append(cell)
+                continue
+            groups: dict[int, int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row, sig = nbrs[low.bit_length() - 1], 0
+                for other in cells:
+                    sig = sig << width | (row & other).bit_count()
+                if sig in groups:
+                    groups[sig] |= low
+                else:
+                    groups[sig] = low
+            if len(groups) == 1:
+                split.append(cell)
+            else:
+                split += [groups[sig] for sig in sorted(groups)]
+        if len(split) == len(cells) or len(split) == n:
+            return split
+        cells = split
 
-    pairs = np.array(pair_list(n), dtype=np.intp).reshape(-1, 2)
-    a, b = images[pairs[:, 0]], images[pairs[:, 1]]
-    slot = np.maximum(a, b, dtype=np.int16)
-    np.minimum(a, b, out=a)
-    slot *= slot - 1
-    slot //= 2
-    slot += a
-    return slot
+
+def _leaf_code(nbrs: Sequence[int], cells: list[int]) -> int:
+    """Code of the labeling that puts the vertex of the k-th singleton cell at k."""
+    order = [cell.bit_length() - 1 for cell in cells]
+    code = 0
+    for j in range(1, len(order)):
+        row = nbrs[order[j]]
+        for i in order[:j]:
+            code = code << 1 | row >> i & 1
+    return code
 
 
-@lru_cache(maxsize=None)
-def _weights(n: int) -> np.ndarray:
-    """Wt (m, P) over the permutations fixing vertices below n - MAX_TABLE_N.
+def _refined_code(nbrs: Sequence[int]) -> int:
+    """Canonical code of the graph with neighbour bitmasks nbrs, by
+    individualization-refinement (McKay and Piperno, J. Symb. Comput. 60,
+    2014).
 
-    P = min(n, MAX_TABLE_N)!, all n! permutations when n <= MAX_TABLE_N.
-    Wt[s, p] = 2^(m-1-t) where permutation p moves source slot s to target
-    slot t, so bits @ Wt holds every such relabeled code of every row.
+    The unit partition is refined to equitable.  While a cell is not a
+    singleton, each vertex of the first such cell is individualized in
+    turn (placed in a cell of its own before the rest of the cell) and the
+    partition refined again; a discrete partition is a leaf, a labeling.
+    The code is the smallest leaf code.  Every step is labeling-free, so
+    isomorphic graphs grow the same leaf codes; of the vertices of the
+    cell that are twins of each other only the first is tried, since
+    swapping twins maps one subtree onto the other with the same codes.
+    A cell of twins only is thus one path, and no refinement splits it
+    (every other vertex sees all of it or none): it is laid out at once,
+    lowest vertex first.
     """
-    import numpy as np
+    n = len(nbrs)
+    best = -1
+    stack = [_equitable(nbrs, [(1 << n) - 1])] if n else [[]]
+    while stack:
+        cells = stack.pop()
+        for at, cell in enumerate(cells):
+            if cell & cell - 1:
+                break
+        else:
+            code = _leaf_code(nbrs, cells)
+            if best < 0 or code < best:
+                best = code
+            continue
+        tried, rest = [], cell
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row = nbrs[low.bit_length() - 1]
+            if not any(not (row ^ nbrs[w]) & ~(low | 1 << w) for w in tried):
+                tried.append(low.bit_length() - 1)  # no twin of it tried yet
+        if len(tried) == 1:  # all twins: the tree is one path, the cell in order
+            rest, cell = cell, []
+            while rest:
+                cell.append(rest & -rest)
+                rest &= rest - 1
+            stack.append(cells[:at] + cell + cells[at + 1:])
+            continue
+        for v in tried:
+            low = 1 << v
+            stack.append(_equitable(nbrs, cells[:at] + [low, cell ^ low] + cells[at + 1:]))
+    return best
 
-    k = max(0, n - MAX_TABLE_N)
-    images = [tuple(range(k)) + tail for tail in itertools.permutations(range(k, n))]
-    m = num_pairs(n)
-    slots = _pair_slots(np.array(images, dtype=np.int8).T, n)
-    return (2.0 ** np.arange(m - 1, -1, -1))[slots]
 
+def min_codes(rows: Iterable[Sequence[int]], n: int) -> list[int]:
+    """Canonical code of each bit row, the one _refined_code gives.
 
-@lru_cache(maxsize=None)
-def _block_sources(n: int) -> np.ndarray:
-    """Source slot maps, one row per block of the n! relabelings.
-
-    Each row fixes the first n - MAX_TABLE_N images and gives the source
-    slot feeding every target slot; composing it with the permutations of
-    _weights(n) yields every one of the n! relabelings exactly once.  Up
-    to MAX_TABLE_N there is one block, the identity.
+    A row is any sequence of C(n,2) zeros and ones in column order (a
+    tuple, bytes, or a numpy row).  The code is the minimum over the
+    leaves of the refinement search, not over all n! relabelings: equal
+    codes iff isomorphic, but it is min_code's lex-min code only by chance.
     """
-    import numpy as np
-
-    k = max(0, n - MAX_TABLE_N)
-    images = [head + tuple(v for v in range(n) if v not in head)
-              for head in itertools.permutations(range(n), k)]
-    return _pair_slots(np.array(images, dtype=np.int8).T, n).T
-
-
-def min_codes(bits: np.ndarray, n: int) -> np.ndarray:
-    """Canonical (minimal) code of each bit row under all vertex relabelings.
-
-    bits has shape (B, C(n,2)); the returned int64 array has shape (B,).
-    Every n runs the same loop over the blocks of _block_sources(n); rows
-    are chunked so that no (rows, permutations) product exceeds roughly
-    _BATCH_BYTES.
-    """
-    import numpy as np
-
-    bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
-    b, m = bits.shape
-    if m != num_pairs(n):
-        raise ValueError("bit row length does not match n")
-    if m > MAX_EXACT_BITS:
-        raise ValueError(f"codes of {m} bits are not exact in float64 (n={n})")
-    wt = _weights(n)
-    rows_per_pass = max(1, _BATCH_BYTES // (wt.shape[1] * 8))
-    best = np.full(b, np.inf)
-    for src in _block_sources(n):
-        for start in range(0, b, rows_per_pass):
-            chunk = bits[start:start + rows_per_pass, src].astype(np.float64)
-            codes = (chunk @ wt).min(axis=1)
-            np.minimum(best[start:start + rows_per_pass], codes,
-                       out=best[start:start + rows_per_pass])
-    return best.astype(np.int64)
+    pairs = pair_list(n)
+    m = len(pairs)
+    codes = []
+    for row in rows:
+        if len(row) != m:
+            raise ValueError("bit row length does not match n")
+        nbrs = [0] * n
+        for (i, j), bit in zip(pairs, row):
+            if bit:
+                nbrs[i] |= 1 << j
+                nbrs[j] |= 1 << i
+        codes.append(_refined_code(nbrs))
+    return codes

@@ -3,24 +3,22 @@
 The search grows graphs one vertex at a time over the adjacency upper
 triangle in column order: vertex k's column is a nonempty neighbor subset
 of the k vertices before it, added to a connected parent, so every level
-holds connected graphs only, deduplicated by canonical form.  Hereditary
-constraints (bipartite, no short cycles) prune columns by the parents'
-distances in _children_rows; the non-hereditary filters (nonbipartite,
-edge count) run on the last level's representatives.
+holds connected graphs only, deduplicated by the canonical code of
+_canon.min_codes.  Graphs are neighbour bitmasks on Python ints
+throughout.  Hereditary constraints (bipartite, no short cycles) prune
+columns by the parents' distances in _children_rows; the non-hereditary
+filters (nonbipartite, edge count) run on the last level's
+representatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from . import _canon
 from .errors import TooLarge
 from .graphs import Graph, girth, graph_from_slots, is_bipartite, is_connected
-
-if TYPE_CHECKING:
-    import numpy as np
 
 MAX_N = 8
 MAX_N_PRUNED = 9  # girth-pruned lanes stay tiny one level further
@@ -81,87 +79,168 @@ def graph_from_code(n: int, code: int) -> Graph:
     return graph_from_slots(n, _canon.code_slots(code, n))
 
 
-def _adjacency(rows: np.ndarray, n: int) -> np.ndarray:
-    """(R, n, n) uint8 adjacency tensor of column-order bit rows."""
-    import numpy as np
-
-    i, j = np.array(_canon.pair_list(n), dtype=np.intp).reshape(-1, 2).T
-    adj = np.zeros((len(rows), n, n), dtype=np.uint8)
-    adj[:, i, j] = adj[:, j, i] = rows
-    return adj
+@lru_cache(maxsize=None)
+def _members(n: int) -> tuple[tuple[int, ...], ...]:
+    """The vertices of every bitmask over n vertices, lowest first, by mask."""
+    return tuple(tuple(v for v in range(n) if mask >> v & 1) for mask in range(1 << n))
 
 
-def _children_rows(parent_codes, child_n: int, lane: tuple[int, bool]) -> np.ndarray:
-    """Bit rows of all one-vertex extensions the lane permits.
+def _code_nbrs(code: int, n: int) -> list[int]:
+    """Neighbour bitmasks of the graph with this m-bit code."""
+    nbrs = [0] * n
+    pairs = _canon.pair_list(n)
+    for s in _canon.code_slots(code, n):
+        i, j = pairs[s]
+        nbrs[i] |= 1 << j
+        nbrs[j] |= 1 << i
+    return nbrs
 
-    The new vertex's column occupies the last k slots: pair (i, child_n - 1)
-    sits at index num_pairs(k) + i.  The lane's conflict rule lives here:
-    joining the new vertex to two old ones at distance d closes a cycle of
+
+def _connected(nbrs, rest: int, members) -> bool:
+    """Whether the vertices of the bitmask rest induce a connected graph."""
+    reach = front = rest & -rest
+    while front:
+        grown = 0
+        for u in members[front]:
+            grown |= nbrs[u]
+        front = grown & rest & ~reach
+        reach |= front
+    return reach == rest
+
+
+def _allowed_columns(nbrs: list[int], lane: tuple[int, bool]) -> list[bool]:
+    """Per column (a bitmask of the parent's vertices), whether the lane allows it.
+
+    Joining the new vertex to two old ones at distance d closes a cycle of
     length d + 2, so no column may hold a pair at d <= girth_k - 3, nor, in
-    the bipartite lane, at odd d.
+    the bipartite lane, at odd d.  Distances come from one bitmask BFS per
+    vertex.
     """
-    import numpy as np
-
-    k = child_n - 1
     girth_k, bip = lane
-    i, j = np.array(_canon.pair_list(k), dtype=np.intp).reshape(-1, 2).T
-    shifts = np.arange(len(i) - 1, -1, -1)  # the first pair is the top bit
-    parents = ((np.array(parent_codes, np.int64)[:, None] >> shifts) & 1).astype(np.uint8)
-    adj = _adjacency(parents, k).astype(bool)
-    front, seen = adj, adj | np.eye(k, dtype=bool)
-    forbid = np.zeros_like(adj)
-    for d in range(1, min(k - 1 if bip else girth_k - 3, k - 1) + 1):
-        if d > 1:  # front: the pairs at distance d, one product per d
-            front = (front @ adj) & ~seen
+    k = len(nbrs)
+    depth = k - 1 if bip else girth_k - 3
+    members = _members(k)
+    forbid = [0] * k
+    for v in range(k):
+        seen = front = 1 << v
+        for d in range(1, depth + 1):
+            grown = 0
+            for u in members[front]:
+                grown |= nbrs[u]
+            front = grown & ~seen
+            if not front:
+                break
             seen |= front
-        if d <= girth_k - 3 or (bip and d % 2):
-            forbid |= front
-    cols = ((np.arange(1, 1 << k)[:, None] >> np.arange(k)) & 1).astype(np.uint8)
-    clash = forbid[:, i, j] @ (cols[:, i] & cols[:, j]).T.astype(bool)
-    p, c = np.nonzero(~clash)
-    return np.hstack([parents[p], cols[c]])
+            if d <= girth_k - 3 or (bip and d % 2):
+                forbid[v] |= front
+    allowed = [True] * (1 << k)
+    for col in range(1, 1 << k):  # a column adds its top vertex to a smaller one
+        top = col.bit_length() - 1
+        rest = col ^ 1 << top
+        allowed[col] = allowed[rest] and not forbid[top] & rest
+    return allowed
 
 
-def _deletion_candidates(rows: np.ndarray, n: int) -> np.ndarray:
-    """Mask of the child rows whose new vertex n - 1 is a deletion candidate.
+@lru_cache(maxsize=None)
+def _columns_by_size(k: int) -> tuple[tuple[int, ...], ...]:
+    """The nonempty subsets of k vertices as bitmasks, by size."""
+    by_size = [[] for _ in range(k + 1)]
+    for col in range(1, 1 << k):
+        by_size[col.bit_count()].append(col)
+    return tuple(map(tuple, by_size))
+
+
+def _children_rows(parent_codes, child_n: int, lane: tuple[int, bool]) -> list[tuple[int, ...]]:
+    """Neighbour bitmasks of the one-vertex extensions the lane permits and
+    the parent does not rule out as deletion candidates.
+
+    The new vertex k = child_n - 1 is joined to a nonempty column of the
+    parent's vertices.  A column _allowed_columns refuses is never built.
+    Nor is a column smaller than the parent degree of some non-cut vertex
+    w other than the column itself: w stays non-cut in the child (the new
+    vertex hangs on a vertex of the connected parent - w) and its degree
+    does not fall, so its key beats the new vertex's.  The largest non-cut
+    degree bounds every column; a one-vertex column may be that w, so it
+    takes the second largest.
+    """
+    k = child_n - 1
+    new = 1 << k
+    constrained = lane != (0, False)
+    everyone = new - 1
+    by_size, members = _columns_by_size(k), _members(k)
+    rows = []
+    for code in parent_codes:
+        nbrs = _code_nbrs(code, k)
+        allowed = _allowed_columns(nbrs, lane) if constrained else None
+        noncut = sorted((nbrs[w].bit_count() for w in range(k)
+                         if _connected(nbrs, everyone ^ 1 << w, members)), reverse=True) + [0, 0]
+        for size in range(1, k + 1):
+            if size < noncut[size == 1]:
+                continue
+            for col in by_size[size]:
+                if allowed and not allowed[col]:
+                    continue
+                child = nbrs.copy()
+                for v in members[col]:
+                    child[v] |= new
+                child.append(col)
+                rows.append(tuple(child))
+    return rows
+
+
+def _deletion_candidates(rows, n: int) -> list[bool]:
+    """Whether the new vertex n - 1 of each child (neighbour bitmasks) is a
+    deletion candidate.
 
     A vertex's key is (degree, sum of its neighbours' degrees).  The new
     vertex is a candidate unless some non-cut vertex (one whose removal
     leaves the graph connected) has a larger key.  The new vertex is
     itself non-cut, since its parent is connected.  Only the vertices
-    that beat the new one are tested for being non-cut: a bitmask
-    closure of G - w from the lowest vertex other than w.
+    that beat the new one are tested for being non-cut, by a bitmask
+    closure of G - w.
     """
-    import numpy as np
-
-    adj = _adjacency(rows, n)
-    deg = adj.sum(axis=2, dtype=np.int16)
-    # Neighbour-degree sums stay below n * n, so this orders keys
-    # lexicographically.
-    key = deg * (n * n) + np.einsum("rvu,ru->rv", adj, deg)
-    row, w = np.nonzero(key[:, :-1] > key[:, -1:])
-    nbrs = np.zeros((len(rows), n), dtype=np.int32)
-    for u in range(n):
-        nbrs |= adj[:, :, u].astype(np.int32) << u
-    nbrs = nbrs[row]
-    rest = ((1 << n) - 1) ^ (1 << w).astype(np.int32)  # vertices of G - w
-    reach = np.where(w == 0, 2, 1).astype(np.int32)
-    while True:
-        grown = reach.copy()
-        for v in range(n):
-            grown |= nbrs[:, v] & -((reach >> v) & 1)
-        grown &= rest
-        if (grown == reach).all():
-            break
-        reach = grown
-    mask = np.ones(len(rows), dtype=bool)
-    mask[row[reach == rest]] = False
+    v, everyone, members = n - 1, (1 << n) - 1, _members(n)
+    mask = []
+    for nbrs in rows:
+        deg = [b.bit_count() for b in nbrs]
+        dv, sv = deg[v], None
+        keep = True
+        for w in range(v):
+            if deg[w] < dv:
+                continue
+            if deg[w] == dv:
+                if sv is None:
+                    sv = sum([deg[u] for u in members[nbrs[v]]])
+                if sum([deg[u] for u in members[nbrs[w]]]) <= sv:
+                    continue
+            if _connected(nbrs, everyone ^ 1 << w, members):
+                keep = False
+                break
+        mask.append(keep)
     return mask
 
 
 @lru_cache(maxsize=None)
+def _column_bits(j: int) -> tuple[bytes, ...]:
+    """Column j's bits, pairs (0, j), ..., (j - 1, j), per mask of its
+    neighbours below j."""
+    return tuple(bytes(col >> i & 1 for i in range(j)) for col in range(1 << j))
+
+
+def _bit_rows(rows, n: int) -> list[bytes]:
+    """Column-order bit rows of graphs given by neighbour bitmasks."""
+    columns = [(j, _column_bits(j), (1 << j) - 1) for j in range(1, n)]
+    return [b"".join([bits[nbrs[j] & below] for j, bits, below in columns])
+            for nbrs in rows]
+
+
+@lru_cache(maxsize=None)
 def _level_codes(n: int, lane: tuple[int, bool]) -> tuple[int, ...]:
-    """Canonical codes, sorted, of the connected lane-surviving n-vertex graphs.
+    """Level codes, sorted, of the connected lane-surviving n-vertex graphs.
+
+    A level code is the canonical code of _canon.min_codes, by
+    individualization-refinement: equal iff isomorphic, but in general not
+    the lex-min code that canonical_form names graphs by.
 
     Every connected graph has a vertex whose removal leaves it connected
     (a leaf of a spanning tree), and the graph left keeps girth and
@@ -173,16 +252,17 @@ def _level_codes(n: int, lane: tuple[int, bool]) -> tuple[int, ...]:
     (McKay's canonical deletion, J. Algorithms 26, 1998).  No class is
     lost: take any graph G of the level and a non-cut vertex v* of
     largest key.  G - v* is connected and stays in the lane, so its
-    canonical code is in the level below; the lane's conflict rule is
-    exact, so the row adding v*'s neighbourhood to it is generated.  That
-    row is G, and its new vertex has v*'s key, which no non-cut vertex
-    beats, so the row survives the mask.
+    level code is in the level below, and the lane's conflict rule is
+    exact.  The row adding v*'s neighbourhood to it is G, and its new
+    vertex has v*'s key, which no non-cut vertex beats: so the column
+    bound, which skips only rows whose new vertex a non-cut vertex beats,
+    builds the row, and it survives the mask.
     """
     if n == 1:
         return (0,)
-    rows = _children_rows(_level_codes(n - 1, lane), n, lane)
-    rows = rows[_deletion_candidates(rows, n)]
-    return tuple(sorted(set(_canon.min_codes(rows, n).tolist())))
+    children = _children_rows(_level_codes(n - 1, lane), n, lane)
+    kept = [nbrs for nbrs, keep in zip(children, _deletion_candidates(children, n)) if keep]
+    return tuple(sorted(set(_canon.min_codes(_bit_rows(kept, n), n))))
 
 
 def _passes(filt: UniverseFilter, g: Graph) -> bool:
@@ -197,8 +277,10 @@ def _passes(filt: UniverseFilter, g: Graph) -> bool:
 def enumerate_connected(filt: UniverseFilter):
     """Yield one representative per isomorphism class matching the filter.
 
-    Graphs come out in canonical labeling, ordered by canonical code, so
-    two runs always agree.
+    Graphs come out in the labeling of their level code, the canonical
+    code of _canon.min_codes, ordered by it, so two runs always agree.
+    That labeling is canonical but not the lex-min one canonical_form
+    names graphs by.
     """
     check_scope(filt)
     for code in _level_codes(filt.n, _lane(filt)):

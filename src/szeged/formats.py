@@ -28,8 +28,8 @@ CHUNK_BYTES = 2**20
 _GRAPH6_DIGITS = bytes(range(63, 127))
 _TO_DIGIT = bytes((b + 63) % 256 for b in range(256))
 _GRAPH6_HEADER = b">>graph6<<"  # optional, before the string
-# Largest n canonical_form names: the n! sweep of _canon.min_codes, which
-# referees its prefix search in the tests, runs only this far.
+# Largest n canonical_form names: the tests referee its prefix search with
+# an n! sweep of their own, which runs only this far.
 CANON_MAX_N = 10
 
 
@@ -223,10 +223,9 @@ def emit_graph6(g: Graph) -> bytes:
 def canonical_form(g: Graph) -> bytes:
     """Smallest adjacency-bit string over all relabelings, as graph6 bytes.
 
-    Equal strings iff isomorphic.  The code is the one the batch sweep
-    _canon.min_codes gives, found by the prefix search of _canon.min_code
-    on Python ints, so numpy is not loaded; refused (TooLarge) beyond
-    n = CANON_MAX_N.
+    Equal strings iff isomorphic.  The code is the lex-min one, found by
+    the prefix search of _canon.min_code on Python ints; refused
+    (TooLarge) beyond n = CANON_MAX_N.
     """
     if g.n > CANON_MAX_N:
         raise TooLarge(f"canonical form capped at n = {CANON_MAX_N}; n={g.n}")

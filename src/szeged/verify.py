@@ -21,10 +21,11 @@ from .invariants import blocks_all_complete, index_report, pi, szeged, wiener
 
 
 def _name(g: Graph) -> str:
-    """graph6 name of a graph a report lists.
+    """graph6 name of a graph a report lists: its lex-min canonical form.
 
-    Enumerated graphs come in canonical labeling already; only the few a
-    report lists are named, so the universe is not canonized twice.
+    Enumerated graphs come in the labeling of their level code, which is
+    canonical but not lex-min, so names cannot be read off it; only the
+    few graphs a report lists are named, by canonical_form's prefix search.
     """
     return canonical_form(g).decode("ascii")
 

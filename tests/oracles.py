@@ -4,6 +4,8 @@ Nothing here imports the package under test.  Distances come from simple-path
 enumeration, cycles from explicit subset search, connectivity from union-find,
 and isomorphism dedup from a full permutation sweep over a row-major bit
 encoding (the package uses column-major), so agreement is meaningful.
+The lex-min code the package's names follow is refereed by lexmin_codes,
+an n! table sweep in the package's column order.
 """
 
 from __future__ import annotations
@@ -221,6 +223,109 @@ GRAPH6_ERRORS = [
     ("~??}", "graph6 long form used for n <= 62"),
     ("~~???~??", "graph6 input supported for n <= 258047 only"),
 ]
+
+
+def pairs_colmajor(n):
+    """Pairs (i, j), i < j, in column order (0,1), (0,2), (1,2), (0,3), ..."""
+    return [(i, j) for j in range(n) for i in range(j)]
+
+
+def slot_colmajor(i, j):
+    """Column-order position of the pair {i, j}."""
+    i, j = min(i, j), max(i, j)
+    return j * (j - 1) // 2 + i
+
+
+# Weight tables cover at most MAX_TABLE_N! = 5,040 permutations (1.8 MB at
+# n = 10); larger n sweeps n!/MAX_TABLE_N! blocks of them, one per choice of
+# the first n - MAX_TABLE_N images.
+MAX_TABLE_N = 7
+# Codes are sums of distinct powers of two below 2^m, exact in float64 only
+# while m fits its 53-bit significand.
+MAX_EXACT_BITS = 53
+BATCH_BYTES = 2**24  # float64 codes one (rows, permutations) product may hold
+
+
+def _pair_slots(images, n):
+    """Slot of the pair {images[i], images[j]} for each column-order pair (i, j).
+
+    images is (n, P) int8, one vertex map per column; the result is (m, P)
+    int16, the slot of {hi, lo} (hi > lo) being hi*(hi-1)//2 + lo.
+    """
+    pairs = np.array(pairs_colmajor(n), dtype=np.intp).reshape(-1, 2)
+    a, b = images[pairs[:, 0]], images[pairs[:, 1]]
+    slot = np.maximum(a, b, dtype=np.int16)
+    np.minimum(a, b, out=a)
+    slot *= slot - 1
+    slot //= 2
+    slot += a
+    return slot
+
+
+@lru_cache(maxsize=None)
+def weights(n):
+    """Wt (m, P) over the permutations fixing vertices below n - MAX_TABLE_N.
+
+    P = min(n, MAX_TABLE_N)!, all n! permutations when n <= MAX_TABLE_N.
+    Wt[s, p] = 2^(m-1-t) where permutation p moves source slot s to target
+    slot t, so bits @ Wt holds every such relabeled code of every row.
+    """
+    k = max(0, n - MAX_TABLE_N)
+    images = [tuple(range(k)) + tail for tail in itertools.permutations(range(k, n))]
+    m = n * (n - 1) // 2
+    slots = _pair_slots(np.array(images, dtype=np.int8).T, n)
+    return (2.0 ** np.arange(m - 1, -1, -1))[slots]
+
+
+@lru_cache(maxsize=None)
+def block_sources(n):
+    """Source slot maps, one row per block of the n! relabelings.
+
+    Each row fixes the first n - MAX_TABLE_N images and gives the source
+    slot feeding every target slot; composing it with the permutations of
+    weights(n) yields every one of the n! relabelings exactly once.  Up
+    to MAX_TABLE_N there is one block, the identity.
+    """
+    k = max(0, n - MAX_TABLE_N)
+    images = [head + tuple(v for v in range(n) if v not in head)
+              for head in itertools.permutations(range(n), k)]
+    return _pair_slots(np.array(images, dtype=np.int8).T, n).T
+
+
+def lexmin_codes(bits, n):
+    """Lex-min code of each column-order bit row: the smallest m-bit code
+    over all n! vertex relabelings, the first pair the top bit.
+
+    bits has shape (B, C(n,2)); the returned int64 array has shape (B,).
+    Each block of relabelings is one exact float64 matrix product of the
+    gathered bit rows with a table of powers of two; rows are chunked so
+    that no (rows, permutations) product exceeds roughly BATCH_BYTES.
+    """
+    bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
+    b, m = bits.shape
+    if m != n * (n - 1) // 2:
+        raise ValueError("bit row length does not match n")
+    if m > MAX_EXACT_BITS:
+        raise ValueError(f"codes of {m} bits are not exact in float64 (n={n})")
+    wt = weights(n)
+    rows_per_pass = max(1, BATCH_BYTES // (wt.shape[1] * 8))
+    best = np.full(b, np.inf)
+    for src in block_sources(n):
+        for start in range(0, b, rows_per_pass):
+            chunk = bits[start:start + rows_per_pass, src].astype(np.float64)
+            codes = (chunk @ wt).min(axis=1)
+            np.minimum(best[start:start + rows_per_pass], codes,
+                       out=best[start:start + rows_per_pass])
+    return best.astype(np.int64)
+
+
+def lexmin_graph6(n, edges):
+    """graph6 bytes of the lex-min relabeling of a graph: its canonical name."""
+    edge_set = {(min(e), max(e)) for e in edges}
+    pairs = pairs_colmajor(n)
+    code = int(lexmin_codes([[int(p in edge_set) for p in pairs]], n)[0])
+    m = len(pairs)
+    return graph6_oracle(n, [p for s, p in enumerate(pairs) if code >> (m - 1 - s) & 1])
 
 
 def _perm_code(n, bits, perm, index_of):

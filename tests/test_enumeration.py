@@ -20,7 +20,6 @@ from szeged import (
     adjacency_bits,
     build_graph,
     canonical_form,
-    emit_graph6,
     enumerate_connected,
     girth,
     graph_from_code,
@@ -154,8 +153,15 @@ class TestSoundness:
         assert len({canonical_form(g) for g in got}) == len(got)
 
     def test_yields_are_canonically_labeled(self):
+        # A yield is the refined canonical labeling of every relabeling of
+        # it, and its name is still the lex-min one.
+        rng = random.Random(6)
         for g in universe(UniverseFilter(6)):
-            assert emit_graph6(g) == canonical_form(g)
+            perm = list(range(6))
+            rng.shuffle(perm)
+            code = _canon.min_codes([adjacency_bits(relabel(g, perm))], 6)[0]
+            assert graph_from_code(6, code) == g
+            assert canonical_form(g) == oracles.lexmin_graph6(6, g.edges)
 
     def test_deterministic(self):
         filt = UniverseFilter(6, bipartite="no")
@@ -172,25 +178,53 @@ def test_bipartite_lane_keeps_exactly_the_bipartite_partials():
         assert enumeration._level_codes(k, (0, True)) == want
 
 
-@pytest.mark.parametrize("lane", [(0, False), (0, True), (4, False), (5, False)])
+ALL_LANES = [(0, False), (0, True), (4, False), (5, False), (6, False), (6, True)]
+
+
+def bit_row(nbrs):
+    """Column-order bit row, as a tuple, of a graph given by neighbour masks."""
+    return tuple(nbrs[j] >> i & 1 for j in range(1, len(nbrs)) for i in range(j))
+
+
+def row_nbrs(row, n):
+    """Neighbour masks of a column-order bit row."""
+    nbrs = [0] * n
+    for (i, j), bit in zip(oracles.pairs_colmajor(n), row):
+        if bit:
+            nbrs[i] |= 1 << j
+            nbrs[j] |= 1 << i
+    return tuple(nbrs)
+
+
+@pytest.mark.parametrize("lane", ALL_LANES)
 def test_children_rows_are_distinct(lane):
     # Levels are canonized without deduplicating the labeled rows first.
     for k in range(1, 8):
         parents = enumeration._level_codes(k, lane)
         rows = enumeration._children_rows(parents, k + 1, lane)
-        assert len(np.unique(rows, axis=0)) == len(rows)
+        assert len(set(rows)) == len(rows)
 
 
 def referee_children(parent_codes, k, lane):
-    """Every (parent, nonempty column) row whose child graph stays in the lane.
+    """Every (parent, nonempty column) row whose child graph stays in the lane,
+    mapped to whether the parent-side column bound skips it.
 
     Each child is built as a Graph and judged by girth and is_bipartite.
+    The bound: a column is skipped if it is smaller than the largest degree
+    of a vertex of the parent that is no cut vertex (union-find on the
+    parent - w), or, for a one-vertex column, the second largest.
     """
     girth_k, bip = lane
     m = _canon.num_pairs(k)
-    out = set()
+    out = {}
     for code in parent_codes:
         parent = _canon.code_slots(code, k)
+        edges = [oracles.pairs_colmajor(k)[s] for s in parent]
+        relabeled = {w: [(u - (u > w), v - (v > w)) for u, v in edges if w not in (u, v)]
+                     for w in range(k)}
+        noncut = sorted((sum(w in e for e in edges) for w in range(k)
+                         if oracles.connected_uf(k - 1, relabeled[w])), reverse=True)
+        first, second = (noncut + [0, 0])[:2]
         for col in range(1, 1 << k):
             slots = parent + [m + i for i in range(k) if col >> i & 1]
             child = graph_from_slots(k + 1, slots)
@@ -199,20 +233,35 @@ def referee_children(parent_codes, k, lane):
                 continue
             if bip and not is_bipartite(child):
                 continue
+            size = bin(col).count("1")
             row = [0] * (m + k)
             for s in slots:
                 row[s] = 1
-            out.add(tuple(row))
+            out[tuple(row)] = size < (second if size == 1 else first)
     return out
 
 
-@pytest.mark.parametrize("lane", [(0, False), (0, True), (4, False), (5, False),
-                                  (6, False), (6, True)])
+@pytest.mark.parametrize("lane", ALL_LANES)
 def test_children_rows_match_referee(lane):
     for k in range(1, 7):
         parents = enumeration._level_codes(k, lane)
         rows = enumeration._children_rows(parents, k + 1, lane)
-        assert set(map(tuple, rows.tolist())) == referee_children(parents, k, lane)
+        want = {row for row, skipped in referee_children(parents, k, lane).items()
+                if not skipped}
+        assert set(map(bit_row, rows)) == want
+
+
+@pytest.mark.parametrize("lane", ALL_LANES)
+def test_rows_the_bound_skips_fail_the_mask(lane):
+    # The column bound is a shortcut of the mask: every lane row it skips
+    # would have been dropped by _deletion_candidates too.
+    for k in range(1, 8):
+        parents = enumeration._level_codes(k, lane)
+        built = set(map(bit_row, enumeration._children_rows(parents, k + 1, lane)))
+        every = referee_children(parents, k, lane)
+        skipped = [row_nbrs(row, k + 1) for row in every if row not in built]
+        assert built <= set(every)
+        assert not any(enumeration._deletion_candidates(skipped, k + 1))
 
 
 LANES = [(0, False), (0, True), (4, False), (5, False)]
@@ -222,43 +271,52 @@ def child_rows(n, lane):
     return enumeration._children_rows(enumeration._level_codes(n - 1, lane), n, lane)
 
 
+def kept_rows(n, lane):
+    """Bit rows of the children a level canonizes."""
+    rows = child_rows(n, lane)
+    return [bit_row(r) for r, keep in zip(rows, enumeration._deletion_candidates(rows, n))
+            if keep]
+
+
 class TestDeletionCandidates:
     @pytest.mark.parametrize("lane", LANES)
     def test_filtered_rows_reach_every_class(self, lane):
-        # The sweep over the rows kept by the mask finds the same classes
-        # as the sweep over every child row; the bipartite and girth-5
-        # lanes are checked one level further.
+        # The rows kept by the column bound and the mask reach the same
+        # classes as every child row the lane allows; the bipartite and
+        # girth-5 lanes are checked one level further.
         top = 8 if lane in ((0, True), (5, False)) else 7
         for n in range(2, top + 1):
-            rows = child_rows(n, lane)
-            kept = rows[enumeration._deletion_candidates(rows, n)]
-            assert (set(_canon.min_codes(kept, n).tolist())
-                    == set(_canon.min_codes(rows, n).tolist()))
+            every = list(referee_children(enumeration._level_codes(n - 1, lane), n - 1, lane))
+            assert (set(_canon.min_codes(kept_rows(n, lane), n))
+                    == set(_canon.min_codes(every, n)))
 
     def test_mask_matches_networkx(self):
         # Key (degree, sum of neighbour degrees); the new vertex n - 1 is
         # kept unless a vertex that is no articulation point beats it.
+        # Every child row the lane allows is judged, the bound's too.
         nx = pytest.importorskip("networkx")
         for n in range(2, 8):
-            rows = child_rows(n, (0, False))
+            parents = enumeration._level_codes(n - 1, (0, False))
+            rows = [row_nbrs(r, n) for r in referee_children(parents, n - 1, (0, False))]
             got = enumeration._deletion_candidates(rows, n)
-            pairs = [(i, j) for j in range(n) for i in range(j)]
-            for row, kept in zip(rows.tolist(), got.tolist()):
+            for nbrs, kept in zip(rows, got):
                 h = nx.Graph()
                 h.add_nodes_from(range(n))
-                h.add_edges_from(p for p, bit in zip(pairs, row) if bit)
+                h.add_edges_from((u, v) for u in range(n) for v in range(u)
+                                 if nbrs[u] >> v & 1)
                 deg = dict(h.degree())
                 key = {v: (deg[v], sum(deg[u] for u in h[v])) for v in h}
                 noncut = set(h) - set(nx.articulation_points(h))
                 assert kept == all(key[w] <= key[n - 1] for w in noncut)
 
     def test_rows_left_for_the_sweep(self):
-        counts = {(7, (0, False)): (7056, 1480),
-                  (8, (0, True)): (1118, 307),
-                  (8, (5, False)): (250, 74)}
+        counts = {(7, (0, False)): (3663, 1480),
+                  (8, (0, True)): (644, 307),
+                  (8, (5, False)): (199, 74),
+                  (8, (0, False)): (47823, 17772)}
         for (n, lane), want in counts.items():
             rows = child_rows(n, lane)
-            kept = int(enumeration._deletion_candidates(rows, n).sum())
+            kept = sum(enumeration._deletion_candidates(rows, n))
             assert (len(rows), kept) == want
 
 
@@ -366,20 +424,22 @@ def random_rows(rng, count, n):
 
 
 class TestMinCodes:
+    """The test-side n! sweep, oracles.lexmin_codes, against the naive minimum."""
+
     @pytest.mark.parametrize("n,count", [(1, 2), (2, 4), (3, 8), (4, 40),
                                          (5, 30), (6, 12), (7, 4), (8, 3)])
     def test_matches_naive_minimum(self, n, count):
         rows = random_rows(random.Random(n), count, n)
-        got = _canon.min_codes(rows, n)
+        got = oracles.lexmin_codes(rows, n)
         assert [int(c) for c in got] == [naive_min_code(r, n) for r in rows]
 
     def test_row_chunking_does_not_change_codes(self):
         # 1,200 rows span several passes at n = 7 (416 rows each).
         rows = random_rows(random.Random(7), 1200, 7)
-        per_pass = _canon._BATCH_BYTES // (math.factorial(7) * 8)
+        per_pass = oracles.BATCH_BYTES // (math.factorial(7) * 8)
         assert len(rows) > 2 * per_pass
-        batch = _canon.min_codes(rows, 7)
-        assert batch.tolist() == [int(_canon.min_codes(r, 7)[0]) for r in rows]
+        batch = oracles.lexmin_codes(rows, 7)
+        assert batch.tolist() == [int(oracles.lexmin_codes(r, 7)[0]) for r in rows]
 
     def test_block_sweep_beyond_table_size(self):
         nx = pytest.importorskip("networkx")
@@ -391,7 +451,7 @@ class TestMinCodes:
         perm = list(range(n))
         rng.shuffle(perm)
         rows = np.stack([adjacency_bits(g), adjacency_bits(relabel(g, perm))])
-        a, b = _canon.min_codes(rows, n)
+        a, b = oracles.lexmin_codes(rows, n)
         assert a == b
         back = graph_from_code(n, int(a))
         assert nx.is_isomorphic(*(nx.Graph(list(h.edges)) for h in (back, g)))
@@ -400,7 +460,7 @@ class TestMinCodes:
     def test_codes_beyond_float64_rejected_at_once(self):
         t0 = time.perf_counter()
         with pytest.raises(ValueError):
-            _canon.min_codes(np.zeros((1, _canon.num_pairs(11)), np.uint8), 11)
+            oracles.lexmin_codes(np.zeros((1, _canon.num_pairs(11)), np.uint8), 11)
         assert time.perf_counter() - t0 < 1
 
 
@@ -415,9 +475,12 @@ def labeled(rng, n, edges):
     return relabel(build_graph(n, edges), perm)
 
 
+def bit_rows(graphs, n):
+    return np.array([adjacency_bits(g) for g in graphs], np.uint8).reshape(len(graphs), -1)
+
+
 def assert_min_code_matches_sweep(graphs, n):
-    rows = np.array([adjacency_bits(g) for g in graphs], np.uint8).reshape(len(graphs), -1)
-    want = _canon.min_codes(rows, n).tolist()
+    want = oracles.lexmin_codes(bit_rows(graphs, n), n).tolist()
     assert [_canon.min_code(neighbour_masks(g)) for g in graphs] == want
 
 
@@ -435,7 +498,7 @@ SYMMETRIC_TEN = {
 
 
 class TestMinCode:
-    """The prefix search against the n! sweep, its referee."""
+    """The prefix search against the test-side n! sweep, its referee."""
 
     def test_matches_sweep_on_atlas(self):
         nx = pytest.importorskip("networkx")
@@ -460,49 +523,116 @@ class TestMinCode:
         assert_min_code_matches_sweep([labeled(rng, 10, edges) for _ in range(2)], 10)
 
 
+def assert_refined_codes_canonical(graphs, n, rng, labelings=3):
+    """min_codes gives every labeling of a graph one code, a code of that
+    graph (same lex-min code), and distinct graphs distinct codes."""
+    codes = []
+    for g in graphs:
+        relabeled = [g] + [labeled(rng, n, g.edges) for _ in range(labelings - 1)]
+        got = _canon.min_codes(bit_rows(relabeled, n), n)
+        assert len(set(got)) == 1
+        back = graph_from_code(n, got[0])
+        assert _canon.min_code(neighbour_masks(back)) == _canon.min_code(neighbour_masks(g))
+        codes.append(got[0])
+    lexmin = {_canon.min_code(neighbour_masks(g)) for g in graphs}
+    assert len(set(codes)) == len(lexmin)
+
+
+def same_partition(a, b):
+    """Whether two labelings of the same items group them alike."""
+    return len(set(a)) == len(set(b)) == len(set(zip(a, b)))
+
+
+class TestRefinedCodes:
+    """The level canonizer: individualization-refinement on Python ints."""
+
+    @pytest.mark.parametrize("lane", LANES)
+    def test_partition_matches_lexmin_on_levels(self, lane):
+        # The rows each level canonizes, grouped by min_codes and by the
+        # lex-min sweep; the girth-5 lane one level further.
+        top = 9 if lane == (5, False) else 8
+        for n in range(2, top + 1):
+            rows = kept_rows(n, lane)
+            assert same_partition(_canon.min_codes(rows, n),
+                                  oracles.lexmin_codes(rows, n).tolist())
+
+    def test_canonical_on_atlas(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(2)
+        atlas = nx.graph_atlas_g()
+        for n in range(1, 8):
+            graphs = [build_graph(n, list(h.edges)) for h in atlas if h.number_of_nodes() == n]
+            assert_refined_codes_canonical(graphs, n, rng)
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_canonical_on_random_graphs(self, n):
+        # 150 graphs with densities spread evenly over (0, 1).
+        rng = random.Random(100 + n)
+        graphs = [build_graph(n, [p for p in itertools.combinations(range(n), 2)
+                                  if rng.random() < (k + 0.5) / 150])
+                  for k in range(150)]
+        assert_refined_codes_canonical(graphs, n, rng)
+
+    @pytest.mark.parametrize("edges", SYMMETRIC_TEN.values(), ids=SYMMETRIC_TEN.keys())
+    def test_canonical_on_symmetric_graphs(self, edges):
+        rng = random.Random(11)
+        assert_refined_codes_canonical([build_graph(10, edges)], 10, rng, labelings=4)
+
+    def test_rows_of_any_sequence_type(self):
+        g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)])
+        bits = adjacency_bits(g)
+        got = _canon.min_codes([bits, tuple(bits), bytes(bits), np.array(bits, np.uint8)], 5)
+        assert len(set(got)) == 1 and all(type(c) is int for c in got)
+
+    def test_wrong_row_length_rejected(self):
+        with pytest.raises(ValueError):
+            _canon.min_codes([[0, 1, 0]], 4)
+
+
 def naive_weight_columns(n):
     """Columns of the weight table, one per relabeling, built pair by pair."""
-    m = _canon.num_pairs(n)
-    pairs = _canon.pair_list(n)
-    return {tuple(2.0 ** (m - 1 - _canon.pair_index(perm[i], perm[j]))
-                  for i, j in pairs)
+    m = n * (n - 1) // 2
+    return {tuple(2.0 ** (m - 1 - oracles.slot_colmajor(perm[i], perm[j]))
+                  for i, j in oracles.pairs_colmajor(n))
             for perm in itertools.permutations(range(n))}
 
 
 class TestWeightTable:
-    @pytest.mark.parametrize("n", range(1, _canon.MAX_TABLE_N + 1))
+    """The tables of the test-side sweep cover every relabeling once."""
+
+    @pytest.mark.parametrize("n", range(1, oracles.MAX_TABLE_N + 1))
     def test_columns_are_all_relabelings(self, n):
-        wt = _canon._weights(n)
-        m = _canon.num_pairs(n)
+        wt = oracles.weights(n)
+        m = n * (n - 1) // 2
         assert wt.shape == (m, math.factorial(n))
         assert set(map(tuple, wt.T.tolist())) == naive_weight_columns(n)
         # Exactness: each column holds m distinct powers of two.
         assert (np.sort(wt, axis=0) == 2.0 ** np.arange(m)[:, None]).all()
 
-    @pytest.mark.parametrize("n", range(_canon.MAX_TABLE_N + 1, CANON_MAX_N + 1))
+    @pytest.mark.parametrize("n", range(oracles.MAX_TABLE_N + 1, CANON_MAX_N + 1))
     def test_block_tables_fix_the_leading_vertices(self, n):
-        wt = _canon._weights(n)
-        m = _canon.num_pairs(n)
-        assert wt.shape == (m, math.factorial(_canon.MAX_TABLE_N))
+        wt = oracles.weights(n)
+        m = n * (n - 1) // 2
+        assert wt.shape == (m, math.factorial(oracles.MAX_TABLE_N))
         assert (np.sort(wt, axis=0) == 2.0 ** np.arange(m)[:, None]).all()
         assert len(set(map(tuple, wt.T.tolist()))) == wt.shape[1]
-        pairs = np.array(_canon.pair_list(n))
+        pairs = np.array(oracles.pairs_colmajor(n))
         targets = (m - 1 - np.log2(wt)).astype(np.intp)  # entry 2^(m-1-t)
-        for v in range(n - _canon.MAX_TABLE_N):
+        for v in range(n - oracles.MAX_TABLE_N):
             # v is fixed iff every pair at v lands on a pair at v.
             at_v = (pairs == v).any(axis=1)
             assert (pairs[targets[at_v]] == v).any(axis=-1).all()
 
-    @pytest.mark.parametrize("n", range(1, _canon.MAX_TABLE_N + 1))
+    @pytest.mark.parametrize("n", range(1, oracles.MAX_TABLE_N + 1))
     def test_one_identity_block_up_to_table_size(self, n):
-        blocks = list(_canon._block_sources(n))
+        blocks = list(oracles.block_sources(n))
         assert len(blocks) == 1
-        assert blocks[0].tolist() == list(range(_canon.num_pairs(n)))
+        assert blocks[0].tolist() == list(range(n * (n - 1) // 2))
 
-    @pytest.mark.parametrize("n", range(_canon.MAX_TABLE_N + 1, CANON_MAX_N + 1))
+    @pytest.mark.parametrize("n", range(oracles.MAX_TABLE_N + 1, CANON_MAX_N + 1))
     def test_blocks_and_table_cover_every_relabeling_once(self, n):
         # One slot map per choice of the fixed leading images, each a
         # permutation of the slots.
-        blocks = {tuple(src.tolist()) for src in _canon._block_sources(n)}
-        assert len(blocks) == math.factorial(n) // math.factorial(_canon.MAX_TABLE_N)
-        assert all(sorted(src) == list(range(_canon.num_pairs(n))) for src in blocks)
+        blocks = {tuple(src.tolist()) for src in oracles.block_sources(n)}
+        assert len(blocks) == math.factorial(n) // math.factorial(oracles.MAX_TABLE_N)
+        assert all(sorted(src) == list(range(n * (n - 1) // 2)) for src in blocks)
