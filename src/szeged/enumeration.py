@@ -13,8 +13,8 @@ representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import _canon
 from .errors import TooLarge
@@ -26,8 +26,16 @@ MAX_N_PRUNED = 9  # girth-pruned lanes stay tiny one level further
 BIPARTITE_CHOICES = ("yes", "no", "any")
 
 
-@dataclass(frozen=True)
-class UniverseFilter:
+class _UniverseFields(NamedTuple):
+    """UniverseFilter's fields, unchecked; UniverseFilter checks them."""
+
+    n: int
+    bipartite: str = "any"
+    min_girth: int | None = None
+    min_edges: int | None = None
+
+
+class UniverseFilter(_UniverseFields):
     """Hypothesis set of one enumeration universe.
 
     bipartite is "yes", "no", or "any"; min_girth excludes graphs with any
@@ -35,18 +43,17 @@ class UniverseFilter:
     with m at or above it.  Only connected universes are supported.
     """
 
-    n: int
-    bipartite: str = "any"
-    min_girth: int | None = None
-    min_edges: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
         if self.bipartite not in BIPARTITE_CHOICES:
             raise ValueError(f"bipartite must be one of {BIPARTITE_CHOICES}")
         if self.min_girth is not None and self.min_girth < 3:
             raise ValueError("min_girth below 3 is meaningless")
+        return self
 
     def admits(self, g: Graph) -> bool:
         """Whether g, in any labeling, belongs to this universe."""

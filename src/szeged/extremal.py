@@ -12,7 +12,6 @@ predicate are all read from that row.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .enumeration import UniverseFilter
@@ -20,18 +19,24 @@ from .errors import GraphError, HypothesisViolated, InvalidTreeSpec
 from .graphs import Graph, build_graph, girth
 
 
-@dataclass(frozen=True)
-class TreeSpec:
+class _TreeFields(NamedTuple):
+    """TreeSpec's fields, unchecked; TreeSpec checks them."""
+
+    size: int
+    parent: tuple[int, ...]
+
+
+class TreeSpec(_TreeFields):
     """Rooted tree on vertices 0..size-1 encoded by a parent array.
 
     parent[i] < i is the parent of vertex i for i >= 1; parent[0] is 0 by
     convention and carries no edge.  size 1 is the bare root.
     """
 
-    size: int
-    parent: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.size < 1:
             raise InvalidTreeSpec(f"tree size must be >= 1, got {self.size}")
         if len(self.parent) != self.size:
@@ -42,6 +47,7 @@ class TreeSpec:
             if not 0 <= self.parent[i] < i:
                 raise InvalidTreeSpec(
                     f"parent[{i}] = {self.parent[i]} not in [0, {i})")
+        return self
 
     @classmethod
     def trivial(cls) -> "TreeSpec":
@@ -94,8 +100,7 @@ def c5_two_trees(t1: TreeSpec, t2: TreeSpec) -> Graph:
     return build_graph(3 + t1.size + t2.size, edges)
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(NamedTuple):
     """Exact bound as numerator over denominator 1 or 4."""
 
     numerator: int

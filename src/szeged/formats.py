@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 from . import _canon
 from ._canon import num_pairs, pair_index
 from .errors import FormatError, GraphError, TooLarge
-from .graphs import Graph, build_graph, graph_from_slots
+from .graphs import Graph, graph_from_slots
 
 # Largest n of graph6's four-byte vertex count; beyond it the eight-byte
 # form would be needed.
@@ -45,6 +45,8 @@ def parse_edgelist(text: str) -> Graph:
 
     Raises FormatError on any deviation, including duplicate edges, and on
     n > GRAPH6_MAX_N, the bound on graph6 input, before any graph is built.
+    Pairs checked here need none of build_graph's checks: once sorted,
+    they are the Graph's edges.
     """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -76,10 +78,13 @@ def parse_edgelist(text: str) -> Graph:
         if not 0 <= u < v < n:
             raise FormatError(f"edge ({u}, {v}) violates 0 <= u < v < {n}")
         edges.append((u, v))
-    try:
-        return build_graph(n, edges)
-    except GraphError as exc:
-        raise FormatError(str(exc)) from None
+    if len(set(edges)) < m:
+        seen = set()
+        for e in edges:
+            if e in seen:
+                raise FormatError(f"edge ({e[0]}, {e[1]}) given twice")
+            seen.add(e)
+    return Graph(n, tuple(sorted(edges)))
 
 
 def emit_edgelist(g: Graph) -> str:

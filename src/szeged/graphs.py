@@ -17,8 +17,12 @@ from .errors import (
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Immutable after construction.  adj holds sorted neighbor tuples, which
-    every traversal walks and has_edge bisects.
+    Immutable after construction.  edges is the sorted tuple of distinct
+    pairs (u, v) with u < v, as build_graph returns it.  adj holds sorted
+    neighbor tuples, which every traversal walks and has_edge bisects:
+    vertex w meets its smaller neighbours in edges (u, w) before its
+    larger ones in edges (w, v), each in increasing order, so the rows
+    come out sorted.
     """
 
     __slots__ = ("n", "m", "edges", "adj")
@@ -31,7 +35,7 @@ class Graph:
         for u, v in edges:
             neighbors[u].append(v)
             neighbors[v].append(u)
-        self.adj = tuple(tuple(sorted(row)) for row in neighbors)
+        self.adj = tuple(map(tuple, neighbors))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

@@ -7,8 +7,8 @@ term (n_u + n_0/2)(n_v + n_0/2) has denominator exactly 4, so
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from operator import lt
+from typing import NamedTuple
 
 from .errors import Disconnected, NotAnEdge, SamePair, TooLarge
 from .graphs import BlockDecomposition, DistanceMatrix, Graph
@@ -18,14 +18,14 @@ from .graphs import BlockDecomposition, DistanceMatrix, Graph
 from .graphs import apsp, girth, is_bipartite, odd_girth  # noqa: F401
 
 # index_report refuses larger graphs.  Its sweep does about
-# deg(v) * ecc(v) n-bit operations per vertex v, so a path (the largest
-# diameter) is the worst shape: a cold `compute` on a 5000-vertex path
-# takes 13-28 s on 2 vCPUs, the upper figure on a loaded machine.
+# deg(v) * ecc(v) n-bit operations per vertex v of the 2-core, and none
+# for the pendant trees, so a long cycle is the worst shape: a cold
+# `compute` on a 5000-vertex cycle takes 10-11 s on 2 vCPUs, and on a
+# 5000-vertex path, which is all tree, 0.1 s.
 INDEX_MAX_N = 5000
 
 
-@dataclass(frozen=True)
-class EdgePartition:
+class EdgePartition(NamedTuple):
     """Vertex counts by distance comparison against one edge's endpoints."""
 
     edge: tuple[int, int]
@@ -34,8 +34,7 @@ class EdgePartition:
     n_0: int
 
 
-@dataclass(frozen=True)
-class PairContribution:
+class PairContribution(NamedTuple):
     """Edges straddled by one vertex pair, and the resulting slack pi."""
 
     pair: tuple[int, int]
@@ -43,8 +42,7 @@ class PairContribution:
     pi: int
 
 
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(NamedTuple):
     """All three indices of one connected graph, plus the gaps to Wiener."""
 
     n: int
@@ -59,7 +57,7 @@ class IndexReport:
     odd_girth: int | None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _require_connected(dm: DistanceMatrix) -> None:
@@ -175,21 +173,34 @@ def blocks_all_complete(g: Graph, bd: BlockDecomposition) -> bool:
 
 
 def _sweep(g: Graph):
-    """Bit-parallel BFS from every vertex (Akiba, Iwata & Yoshida 2013).
+    """Bit-parallel BFS from every vertex (Akiba, Iwata & Yoshida 2013),
+    with only the 2-core's vertices as targets.
 
     Returns (trans, odd, odd_level, even_level).  trans[v] is the
-    transmission of v, the sum of its distances, and odd[v] the bitset of
-    the sources at odd distance from v.  odd_level is the first depth k
-    at which two adjacent vertices share a source at distance k, and
-    even_level the first depth k at which a source reaches some vertex
-    through two different neighbours; None where not found or not looked
-    for.  Raises Disconnected unless every vertex reaches every source.
+    transmission of v, the sum of its distances.  odd[v] is the bitset of
+    the sources at odd distance from v for a core vertex v, and None for
+    a peeled one.  odd_level is the first depth k at which two adjacent
+    vertices share a source at distance k, and even_level the first depth
+    k at which a source reaches some vertex through two different
+    neighbours; None where not found or not looked for.  Raises
+    Disconnected unless every vertex reaches every source.
+
+    Leaves are peeled until none is left.  Each component keeps at least
+    one vertex: what remains is the 2-core, and one vertex of each tree.
+    A peeled vertex s hangs at height h(s) below its root r(s), a core
+    vertex, and every path from s leaves through r(s).  So s takes part
+    as a source that reaches r(s) at depth h(s), and its own distances
+    come from rerooting.  Across the bridge from a vertex p down to its
+    peeled child x nothing is tied: the size(x) vertices below x are one
+    step nearer to x than to p, the other n - size(x) one step farther.
+    So D(x) = D(p) + n - 2 size(x).
 
     Bit s of front[v] is set iff d(s, v) is the current depth k, and bit s
     of unreached[v] iff d(s, v) > k.  The next fronts are the unions of
-    the neighbours' fronts minus the sources already reached, so a step
-    costs one big-integer OR per edge end, and only vertices with a
-    nonempty front (those whose eccentricity is at least k) are visited.
+    the core neighbours' fronts minus the sources already reached, plus
+    the peeled sources arriving at that depth.  A step costs one
+    big-integer OR per core edge end, and only vertices with a nonempty
+    front (those whose eccentricity is at least k) are visited.
 
     The cycle tests rest on a shortest cycle, and a shortest odd cycle,
     being isometric.  An odd one of length 2k + 1 puts some source at
@@ -199,15 +210,61 @@ def _sweep(g: Graph):
     k tests depth k - 1 for the odd case and depth k for the even one, so
     once the odd test has fired no even cycle found later is shorter:
     the even test runs only while neither has fired.  Forests skip both.
+    Peeling changes neither level: a peeled source fires a test at depth
+    k only if its root fired it at depth k - h(s), and a peeled target,
+    all of whose edges are bridges, fires neither.
     """
     n, adj = g.n, g.adj
-    front = [1 << v for v in range(n)]
-    unreached = [((1 << n) - 1) ^ f for f in front]
-    odd = [0] * n
+    degree = [len(row) for row in adj]
+    # The sum of a vertex's unpeeled neighbours is the neighbour itself
+    # once only one is left.
+    link = [sum(row) for row in adj]
+    parent = [None] * n
+    size = [1] * n
+    peeled = []
+    leaves = [v for v in range(n) if degree[v] == 1]
+    for s in leaves:
+        if degree[s] != 1:  # the last vertex of a tree
+            continue
+        degree[s] = 0
+        p = parent[s] = link[s]
+        link[p] -= s
+        size[p] += size[s]
+        degree[p] -= 1
+        if degree[p] == 1:
+            leaves.append(p)
+        peeled.append(s)
+    # arrivals[k][r]: the peeled sources at height k below core vertex r.
+    arrivals = [{}]
+    root = list(range(n))
+    height = [0] * n
+    for s in reversed(peeled):
+        p = parent[s]
+        r = root[s] = root[p]
+        k = height[s] = height[p] + 1
+        if k == len(arrivals):
+            arrivals.append({})
+        arrivals[k][r] = arrivals[k].get(r, 0) | 1 << s
+    full = (1 << n) - 1
+    core = [v for v in range(n) if parent[v] is None]
+    if peeled:  # the BFS walks core edges only
+        adj = list(adj)
+        for v in core:
+            if degree[v] < len(adj[v]):
+                adj[v] = tuple(u for u in adj[v] if parent[u] is None)
+    front = [0] * n
+    unreached = [0] * n
+    odd = [None] * n
+    for v in core:
+        front[v] = 1 << v
+        unreached[v] = full ^ front[v]
+        odd[v] = 0
     trans = [0] * n
     cyclic = g.m >= n
     odd_level = even_level = None
-    active = [v for v in range(n) if adj[v]]
+    # A root whose neighbours were all peeled has no core edge, but takes
+    # arrivals.
+    active = [v for v in core if g.adj[v]]
     k = 0
     while active:
         k += 1
@@ -239,9 +296,22 @@ def _sweep(g: Graph):
                 if depth_is_odd:
                     odd[v] |= new
                 still.append(v)
+        if k < len(arrivals):
+            # The heights below a root run 1, 2, ... with no gap, so a root
+            # stays active until its last peeled source has arrived.
+            for v, new in arrivals[k].items():
+                if not nxt[v]:
+                    still.append(v)
+                nxt[v] |= new
+                unreached[v] ^= new
+                trans[v] += k * new.bit_count()
+                if depth_is_odd:
+                    odd[v] |= new
         front, active = nxt, still
     if any(unreached):
         raise Disconnected("indices are defined for connected graphs only")
+    for s in reversed(peeled):
+        trans[s] = trans[parent[s]] + n - 2 * size[s]
     return trans, odd, odd_level, even_level
 
 
@@ -252,7 +322,9 @@ def index_report(g: Graph) -> IndexReport:
     one pass over the edges.  Across an edge uv every distance changes by
     at most one, so n_u - n_v = D(v) - D(u) for the transmissions D, and
     the vertices that are not tied are those at distances of opposite parity:
-    n_u + n_v = |odd[u] ^ odd[v]|.  Writing a and b for these two,
+    n_u + n_v = |odd[u] ^ odd[v]|.  An edge into a pendant tree is a
+    bridge, so nothing is tied and n_u + n_v = n there, as odd is kept
+    for core vertices only.  Writing a and b for these two,
     4 n_u n_v = a^2 - b^2 and (2 n_u + n_0)(2 n_v + n_0) = n^2 - b^2.
     """
     n = g.n
@@ -261,7 +333,10 @@ def index_report(g: Graph) -> IndexReport:
     trans, odd, odd_level, even_level = _sweep(g)
     sz4 = b2 = 0
     for u, v in g.edges:
-        a = (odd[u] ^ odd[v]).bit_count()
+        if odd[u] is None or odd[v] is None:
+            a = n
+        else:
+            a = (odd[u] ^ odd[v]).bit_count()
         b = trans[v] - trans[u]
         sz4 += a * a
         b2 += b * b

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .enumeration import UniverseFilter, enumerate_connected
 from .extremal import (  # THEOREMS and universe_filter stay importable here
@@ -30,8 +30,7 @@ def _name(g: Graph) -> str:
     return canonical_form(g).decode("ascii")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one exhaustive bound check over one universe."""
 
     theorem: str
@@ -106,8 +105,7 @@ def verify_theorem(which: str, n: int) -> VerificationReport:
     )
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     """Violation lists for the three supporting facts, over one universe."""
 
     n: int

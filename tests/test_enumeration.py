@@ -63,6 +63,15 @@ class TestFilterValidation:
         with pytest.raises(ValueError):
             UniverseFilter(**kwargs)
 
+    def test_a_frozen_record(self):
+        f = UniverseFilter(5, bipartite="no", min_girth=5)
+        assert f == UniverseFilter(5, "no", 5) and hash(f) == hash(UniverseFilter(5, "no", 5))
+        assert f != UniverseFilter(5, "no")
+        # Error messages show the filter by its repr.
+        assert repr(f) == "UniverseFilter(n=5, bipartite='no', min_girth=5, min_edges=None)"
+        with pytest.raises(AttributeError):
+            f.n = 6
+
 
 class TestCountsAgainstOracle:
     def test_all_connected(self):

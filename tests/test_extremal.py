@@ -61,6 +61,14 @@ class TestTreeSpec:
         with pytest.raises(InvalidTreeSpec):
             TreeSpec.random(0, random.Random(1))
 
+    def test_a_frozen_record(self):
+        t = TreeSpec(size=3, parent=(0, 0, 1))
+        assert t == TreeSpec.path(3) and hash(t) == hash(TreeSpec.path(3))
+        assert t != TreeSpec.star(3)
+        assert repr(t) == "TreeSpec(size=3, parent=(0, 0, 1))"
+        with pytest.raises(AttributeError):
+            t.size = 4
+
 
 class TestConstructors:
     def test_bare_cycle(self):

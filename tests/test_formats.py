@@ -72,9 +72,24 @@ class TestEdgelist:
         def no_build(*args):
             raise AssertionError("graph built before the vertex count was checked")
 
-        monkeypatch.setattr("szeged.formats.build_graph", no_build)
+        monkeypatch.setattr("szeged.formats.Graph", no_build)
         with pytest.raises(FormatError, match="258047"):
             parse_edgelist(f"{n} 0\n")
+
+    def test_duplicate_named_as_build_graph_names_it(self):
+        # The first pair seen before, in input order.
+        with pytest.raises(FormatError, match=r"^edge \(1, 2\) given twice$"):
+            parse_edgelist("4 4\n1 2\n0 1\n1 2\n0 1\n")
+
+    def test_unsorted_input_gives_build_graphs_graph(self):
+        rng = random.Random(4)
+        for _ in range(30):
+            n, edges = oracles.random_connected_graph(rng, max_n=12)
+            rng.shuffle(edges)
+            text = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+            g, want = parse_edgelist(text), build_graph(n, edges)
+            assert g == want and g.adj == want.adj
+            assert all(list(row) == sorted(row) for row in g.adj)
 
     def test_vertex_count_bound_is_inclusive(self):
         g = parse_edgelist("258047 1\n258045 258046\n")

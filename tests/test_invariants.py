@@ -374,6 +374,115 @@ class TestSweepAgainstReference:
             index_report(path_graph(INDEX_MAX_N + 1))
 
 
+def hang_trees(rng, n, edges, at, sizes):
+    """edges plus a random tree of sizes[i] vertices grafted at at[i],
+    the new vertices numbered from n on; returns the new n and edges."""
+    edges = list(edges)
+    for root, size in zip(at, sizes):
+        added = [root]
+        for _ in range(size):
+            edges.append((rng.choice(added), n))
+            added.append(n)
+            n += 1
+    return n, edges
+
+
+def shuffled_graph(rng, n, edges):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(build_graph(n, edges), perm)
+
+
+def spider(legs):
+    edges, n = [], 1
+    for length in legs:
+        edges += [(0 if i == 0 else n + i - 1, n + i) for i in range(length)]
+        n += length
+    return build_graph(n, edges)
+
+
+def caterpillar(spine, leaves):
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    n = spine
+    for i, count in enumerate(leaves):
+        edges += [(i, n + j) for j in range(count)]
+        n += count
+    return build_graph(n, edges)
+
+
+class TestPendantTrees:
+    """The sweep peels pendant trees and sweeps the 2-core: every field
+    against reference_report, which searches from every vertex."""
+
+    def test_trees_at_several_core_vertices(self):
+        rng = random.Random(21)
+        cores = [cycle_graph(6), complete_graph(4),
+                 build_graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                             + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                             + [(i, i + 5) for i in range(5)])]
+        for core in cores:
+            for _ in range(10):
+                at = rng.sample(range(core.n), rng.randint(2, core.n))
+                sizes = [rng.randint(1, 6) for _ in at]
+                g = shuffled_graph(rng, *hang_trees(rng, core.n, core.edges, at, sizes))
+                assert index_report(g).to_dict() == reference_report(g)
+
+    def test_core_with_bridges(self):
+        # A 4-cycle and a 5-cycle joined by a 3-edge path, trees on both
+        # cycles and on the path: the core keeps the path's bridges.
+        rng = random.Random(22)
+        base = ([(i, (i + 1) % 4) for i in range(4)]
+                + [(4 + i, 4 + (i + 1) % 5) for i in range(5)]
+                + [(0, 9), (9, 10), (10, 4)])
+        for _ in range(20):
+            at = [0, 2, 6, 9, 10]
+            sizes = [rng.randint(0, 5) for _ in at]
+            g = shuffled_graph(rng, *hang_trees(rng, 11, base, at, sizes))
+            assert index_report(g).to_dict() == reference_report(g)
+
+    @pytest.mark.parametrize("legs", [(1,), (1, 1, 1), (3, 3, 3), (1, 2, 5, 9), (7, 1)])
+    def test_spiders(self, legs):
+        g = spider(legs)
+        assert index_report(g).to_dict() == reference_report(g)
+
+    @pytest.mark.parametrize("spine,leaves", [
+        (1, (4,)), (2, (1, 1)), (5, (0, 2, 0, 3, 1)), (12, (2,) * 12), (30, (0, 1) * 15)])
+    def test_caterpillars(self, spine, leaves):
+        g = caterpillar(spine, leaves)
+        assert index_report(g).to_dict() == reference_report(g)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_tree(self, n):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(n)
+        trees = [nx.empty_graph(1)] if n == 1 else nx.nonisomorphic_trees(n)
+        for t in trees:
+            g = shuffled_graph(rng, n, list(t.edges))
+            assert index_report(g).to_dict() == reference_report(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_cycle_plus_trees(self, seed):
+        rng = random.Random(seed)
+        c = rng.randint(3, 10)
+        at = [rng.randrange(c) for _ in range(rng.randint(1, 4))]
+        sizes = [rng.randint(0, (80 - c) // len(at)) for _ in at]
+        g = shuffled_graph(rng, *hang_trees(rng, c, cycle_graph(c).edges, at, sizes))
+        assert g.n <= 80
+        assert index_report(g).to_dict() == reference_report(g)
+
+    @pytest.mark.parametrize("n,edges", [
+        (7, [(0, 1), (1, 2), (1, 3), (4, 5), (5, 6)]),  # two trees
+        (5, [(0, 1), (1, 2), (2, 3)]),  # a tree and an isolated vertex
+        (2, []),
+        (7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (4, 6)]),  # a cycle and a tree
+        (6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]),  # a cycle with a tail, and one vertex
+    ])
+    def test_peeling_keeps_components_apart(self, n, edges):
+        with pytest.raises(Disconnected):
+            index_report(build_graph(n, edges))
+
+
 class TestDisconnectedRejected:
     def test_all_entry_points(self):
         g = build_graph(4, [(0, 1), (2, 3)])
