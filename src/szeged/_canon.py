@@ -10,7 +10,8 @@ the smallest over all n! relabelings, by a prefix search; it names graphs.
 min_codes canonizes enumeration's levels by individualization-refinement:
 its code is the smallest over the leaves of a search tree that every
 labeling of a graph grows alike, so it is canonical and complete but in
-general not the lex-min code.
+general not the lex-min code.  The same search, through automorphisms,
+gives generators of a graph's automorphism group.
 """
 
 from __future__ import annotations
@@ -47,6 +48,17 @@ def code_slots(code: int, n: int) -> list[int]:
 def pair_list(n: int) -> tuple[tuple[int, int], ...]:
     """All pairs (i, j), i < j, in column order."""
     return tuple((i, j) for j in range(n) for i in range(j))
+
+
+def code_pairs(code: int, n: int) -> list[tuple[int, int]]:
+    """Pairs (i, j) of the set bits of an m-bit code, last column first."""
+    pairs, m = pair_list(n), num_pairs(n)
+    out = []
+    while code:
+        low = code & -code
+        code ^= low
+        out.append(pairs[m - low.bit_length()])
+    return out
 
 
 def min_code(nbrs: Sequence[int]) -> int:
@@ -161,10 +173,10 @@ def _leaf_code(nbrs: Sequence[int], cells: list[int]) -> int:
     return code
 
 
-def _refined_code(nbrs: Sequence[int]) -> int:
+def _search(nbrs: Sequence[int], gens: list[tuple[int, ...]] | None) -> int:
     """Canonical code of the graph with neighbour bitmasks nbrs, by
     individualization-refinement (McKay and Piperno, J. Symb. Comput. 60,
-    2014).
+    2014); with a list gens, also generators of its automorphism group.
 
     The unit partition is refined to equitable.  While a cell is not a
     singleton, each vertex of the first such cell is individualized in
@@ -177,9 +189,17 @@ def _refined_code(nbrs: Sequence[int]) -> int:
     A cell of twins only is thus one path, and no refinement splits it
     (every other vertex sees all of it or none): it is laid out at once,
     lowest vertex first.
+
+    gens receives, as image tuples, the transposition (v w) of each vertex
+    v skipped as a twin of a tried w, and the map from the first leaf's
+    order to the order of each later leaf with the first leaf's code.
+    They generate Aut(G): an automorphism g maps the first leaf to a leaf
+    of the unpruned tree with the same code, and the twin swaps, which fix
+    every vertex individualized above them, carry that leaf step by step
+    into the tree searched, onto a leaf whose map is recorded.
     """
     n = len(nbrs)
-    best = -1
+    best = first = -1
     stack = [_equitable(nbrs, [(1 << n) - 1])] if n else [[]]
     while stack:
         cells = stack.pop()
@@ -190,14 +210,31 @@ def _refined_code(nbrs: Sequence[int]) -> int:
             code = _leaf_code(nbrs, cells)
             if best < 0 or code < best:
                 best = code
+            if gens is not None:
+                order = [cell.bit_length() - 1 for cell in cells]
+                if first < 0:
+                    first, origin = code, order
+                elif code == first:
+                    image = [0] * n
+                    for v, w in zip(origin, order):
+                        image[v] = w
+                    gens.append(tuple(image))
             continue
         tried, rest = [], cell
         while rest:
             low = rest & -rest
             rest ^= low
-            row = nbrs[low.bit_length() - 1]
-            if not any(not (row ^ nbrs[w]) & ~(low | 1 << w) for w in tried):
-                tried.append(low.bit_length() - 1)  # no twin of it tried yet
+            v = low.bit_length() - 1
+            row = nbrs[v]
+            for w in tried:
+                if not (row ^ nbrs[w]) & ~(low | 1 << w):  # v a twin of w
+                    if gens is not None:
+                        image = list(range(n))
+                        image[v], image[w] = w, v
+                        gens.append(tuple(image))
+                    break
+            else:
+                tried.append(v)
         if len(tried) == 1:  # all twins: the tree is one path, the cell in order
             rest, cell = cell, []
             while rest:
@@ -211,8 +248,20 @@ def _refined_code(nbrs: Sequence[int]) -> int:
     return best
 
 
+def automorphisms(nbrs: Sequence[int]) -> list[tuple[int, ...]]:
+    """Generators of the automorphism group of the graph with neighbour
+    bitmasks nbrs, each the tuple of vertex images; none if it is trivial.
+
+    They come from the search min_codes runs, as _search records them,
+    without repeats.
+    """
+    gens: list[tuple[int, ...]] = []
+    _search(nbrs, gens)
+    return list(dict.fromkeys(gens))
+
+
 def min_codes(rows: Iterable[Sequence[int]], n: int) -> list[int]:
-    """Canonical code of each bit row, the one _refined_code gives.
+    """Canonical code of each bit row, the one _search gives.
 
     A row is any sequence of C(n,2) zeros and ones in column order (a
     tuple, bytes, or a numpy row).  The code is the minimum over the
@@ -230,5 +279,5 @@ def min_codes(rows: Iterable[Sequence[int]], n: int) -> list[int]:
             if bit:
                 nbrs[i] |= 1 << j
                 nbrs[j] |= 1 << i
-        codes.append(_refined_code(nbrs))
+        codes.append(_search(nbrs, None))
     return codes

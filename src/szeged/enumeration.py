@@ -5,9 +5,10 @@ triangle in column order: vertex k's column is a nonempty neighbor subset
 of the k vertices before it, added to a connected parent, so every level
 holds connected graphs only, deduplicated by the canonical code of
 _canon.min_codes.  Graphs are neighbour bitmasks on Python ints
-throughout.  Hereditary constraints (bipartite, no short cycles) prune
-columns by the parents' distances in _children_rows; the non-hereditary
-filters (nonbipartite, edge count) run on the last level's
+throughout.  Of the columns a parent's automorphisms map onto each
+other only one is added.  Hereditary constraints (bipartite, no short
+cycles) prune columns by the parents' distances in _children_rows; the
+non-hereditary filters (nonbipartite, edge count) run on the last level's
 representatives.
 """
 
@@ -17,8 +18,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import _canon
-from .errors import TooLarge
-from .graphs import Graph, girth, graph_from_slots, is_bipartite, is_connected
+from .errors import GraphError, TooLarge
+from .graphs import Graph, girth, is_bipartite, is_connected
 
 MAX_N = 8
 MAX_N_PRUNED = 9  # girth-pruned lanes stay tiny one level further
@@ -83,7 +84,9 @@ def check_scope(filt: UniverseFilter) -> None:
 
 def graph_from_code(n: int, code: int) -> Graph:
     """Graph in canonical labeling from its m-bit canonical code."""
-    return graph_from_slots(n, _canon.code_slots(code, n))
+    if n < 1:
+        raise GraphError(f"vertex count must be positive, got {n}")
+    return Graph(n, tuple(sorted(_canon.code_pairs(code, n))))
 
 
 @lru_cache(maxsize=None)
@@ -95,9 +98,7 @@ def _members(n: int) -> tuple[tuple[int, ...], ...]:
 def _code_nbrs(code: int, n: int) -> list[int]:
     """Neighbour bitmasks of the graph with this m-bit code."""
     nbrs = [0] * n
-    pairs = _canon.pair_list(n)
-    for s in _canon.code_slots(code, n):
-        i, j = pairs[s]
+    for i, j in _canon.code_pairs(code, n):
         nbrs[i] |= 1 << j
         nbrs[j] |= 1 << i
     return nbrs
@@ -159,7 +160,8 @@ def _columns_by_size(k: int) -> tuple[tuple[int, ...], ...]:
 
 def _children_rows(parent_codes, child_n: int, lane: tuple[int, bool]) -> list[tuple[int, ...]]:
     """Neighbour bitmasks of the one-vertex extensions the lane permits and
-    the parent does not rule out as deletion candidates.
+    the parent does not rule out as deletion candidates, one per orbit of
+    the parent's automorphism group on the columns.
 
     The new vertex k = child_n - 1 is joined to a nonempty column of the
     parent's vertices.  A column _allowed_columns refuses is never built.
@@ -168,7 +170,11 @@ def _children_rows(parent_codes, child_n: int, lane: tuple[int, bool]) -> list[t
     vertex hangs on a vertex of the connected parent - w) and its degree
     does not fall, so its key beats the new vertex's.  The largest non-cut
     degree bounds every column; a one-vertex column may be that w, so it
-    takes the second largest.
+    takes the second largest.  Of the columns an automorphism of the
+    parent maps onto each other, only the first in by-size order is built:
+    the automorphism, fixing the new vertex, maps one child onto the
+    other.  Orbits are closed over the generators _canon.automorphisms
+    gives, on each column's vertices.
     """
     k = child_n - 1
     new = 1 << k
@@ -179,6 +185,9 @@ def _children_rows(parent_codes, child_n: int, lane: tuple[int, bool]) -> list[t
     for code in parent_codes:
         nbrs = _code_nbrs(code, k)
         allowed = _allowed_columns(nbrs, lane) if constrained else None
+        # Per generator, the bit of each vertex's image.
+        gens = [[1 << w for w in image] for image in _canon.automorphisms(nbrs)]
+        seen = set()
         noncut = sorted((nbrs[w].bit_count() for w in range(k)
                          if _connected(nbrs, everyone ^ 1 << w, members)), reverse=True) + [0, 0]
         for size in range(1, k + 1):
@@ -187,6 +196,19 @@ def _children_rows(parent_codes, child_n: int, lane: tuple[int, bool]) -> list[t
             for col in by_size[size]:
                 if allowed and not allowed[col]:
                     continue
+                if gens:
+                    if col in seen:
+                        continue
+                    orbit = [col]
+                    seen.add(col)
+                    for c in orbit:  # grows while it is walked
+                        for image in gens:
+                            d = 0
+                            for v in members[c]:
+                                d |= image[v]
+                            if d not in seen:
+                                seen.add(d)
+                                orbit.append(d)
                 child = nbrs.copy()
                 for v in members[col]:
                     child[v] |= new
@@ -263,7 +285,13 @@ def _level_codes(n: int, lane: tuple[int, bool]) -> tuple[int, ...]:
     exact.  The row adding v*'s neighbourhood to it is G, and its new
     vertex has v*'s key, which no non-cut vertex beats: so the column
     bound, which skips only rows whose new vertex a non-cut vertex beats,
-    builds the row, and it survives the mask.
+    would build the row, and it survives the mask.  If its column is not
+    the one built for its orbit under the parent's automorphisms, an
+    automorphism maps it onto the built column; fixing the new vertex,
+    that automorphism maps G onto the built child, new vertex onto new
+    vertex.  The lane's rule, the column bound and the mask depend only
+    on the child and its new vertex, so the built row passes all three
+    and is G up to isomorphism.
     """
     if n == 1:
         return (0,)

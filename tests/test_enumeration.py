@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -250,27 +251,83 @@ def referee_children(parent_codes, k, lane):
     return out
 
 
+def vf2_automorphisms(n, edges):
+    """Every automorphism, as vertex images, of a graph, by networkx VF2."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(edges)
+    return {tuple(a[v] for v in range(n))
+            for a in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter()}
+
+
+@functools.lru_cache(maxsize=None)
+def parent_automorphisms(code, k):
+    """vf2_automorphisms of the parent with this m-bit code."""
+    return vf2_automorphisms(k, [oracles.pairs_colmajor(k)[s] for s in _canon.code_slots(code, k)])
+
+
+def column_orbit(col, auts):
+    """The images of a column (a bitmask of parent vertices) under auts."""
+    return {sum(1 << a[v] for v in range(len(a)) if col >> v & 1) for a in auts}
+
+
+def parent_bits(code, k):
+    """Column-order bit row, as a tuple, of the parent with this m-bit code."""
+    m = _canon.num_pairs(k)
+    return tuple(code >> (m - 1 - s) & 1 for s in range(m))
+
+
+def row_column(row, k):
+    """The new vertex's column, a bitmask of parent vertices, of a child bit row."""
+    m = _canon.num_pairs(k)
+    return sum(bit << i for i, bit in enumerate(row[m:]))
+
+
+def built_orbits(parents, k, rows):
+    """Per parent's bit row, the Aut(parent)-orbit of each column built for it."""
+    m = _canon.num_pairs(k)
+    columns = {}
+    for nbrs in rows:
+        columns.setdefault(bit_row(nbrs)[:m], []).append(nbrs[k])
+    return {parent_bits(code, k): [column_orbit(col, parent_automorphisms(code, k))
+                                   for col in columns.get(parent_bits(code, k), [])]
+            for code in parents}
+
+
 @pytest.mark.parametrize("lane", ALL_LANES)
 def test_children_rows_match_referee(lane):
+    # Built rows are rows the bound keeps, and every row it keeps has its
+    # column in the orbit of exactly one built column of its parent.
     for k in range(1, 7):
         parents = enumeration._level_codes(k, lane)
         rows = enumeration._children_rows(parents, k + 1, lane)
         want = {row for row, skipped in referee_children(parents, k, lane).items()
                 if not skipped}
-        assert set(map(bit_row, rows)) == want
+        assert set(map(bit_row, rows)) <= want
+        orbits = built_orbits(parents, k, rows)
+        m = _canon.num_pairs(k)
+        for row in want:
+            col = row_column(row, k)
+            assert sum(col in orbit for orbit in orbits[row[:m]]) == 1
 
 
 @pytest.mark.parametrize("lane", ALL_LANES)
 def test_rows_the_bound_skips_fail_the_mask(lane):
-    # The column bound is a shortcut of the mask: every lane row it skips
-    # would have been dropped by _deletion_candidates too.
+    # The column bound and the orbit rule are shortcuts of the mask: every
+    # lane row outside the orbits of the built rows is a row the bound
+    # skips, and _deletion_candidates would have dropped it too.
     for k in range(1, 8):
         parents = enumeration._level_codes(k, lane)
-        built = set(map(bit_row, enumeration._children_rows(parents, k + 1, lane)))
+        rows = enumeration._children_rows(parents, k + 1, lane)
         every = referee_children(parents, k, lane)
-        skipped = [row_nbrs(row, k + 1) for row in every if row not in built]
-        assert built <= set(every)
-        assert not any(enumeration._deletion_candidates(skipped, k + 1))
+        assert set(map(bit_row, rows)) <= set(every)
+        covered = {p: set().union(*orbits) for p, orbits in built_orbits(parents, k, rows).items()}
+        m = _canon.num_pairs(k)
+        left = [row for row in every if row_column(row, k) not in covered[row[:m]]]
+        assert all(every[row] for row in left)
+        assert not any(enumeration._deletion_candidates([row_nbrs(row, k + 1) for row in left],
+                                                        k + 1))
 
 
 LANES = [(0, False), (0, True), (4, False), (5, False)]
@@ -319,10 +376,10 @@ class TestDeletionCandidates:
                 assert kept == all(key[w] <= key[n - 1] for w in noncut)
 
     def test_rows_left_for_the_sweep(self):
-        counts = {(7, (0, False)): (3663, 1480),
-                  (8, (0, True)): (644, 307),
-                  (8, (5, False)): (199, 74),
-                  (8, (0, False)): (47823, 17772)}
+        counts = {(7, (0, False)): (2033, 905),
+                  (8, (0, True)): (371, 194),
+                  (8, (5, False)): (109, 52),
+                  (8, (0, False)): (30096, 12106)}
         for (n, lane), want in counts.items():
             rows = child_rows(n, lane)
             kept = sum(enumeration._deletion_candidates(rows, n))
@@ -407,6 +464,13 @@ class TestGraphFromCode:
         for g in universe(UniverseFilter(5)):
             code = int("".join(map(str, adjacency_bits(g))), 2)
             assert graph_from_code(5, code) == g
+
+    def test_matches_slot_decoding_on_levels(self):
+        # Every connected graph on at most 8 vertices has its code in the
+        # unrestricted levels.
+        for n in range(1, 9):
+            for code in enumeration._level_codes(n, (0, False)):
+                assert graph_from_code(n, code) == graph_from_slots(n, _canon.code_slots(code, n))
 
 
 def naive_min_code(bits, n):
@@ -596,6 +660,61 @@ class TestRefinedCodes:
     def test_wrong_row_length_rejected(self):
         with pytest.raises(ValueError):
             _canon.min_codes([[0, 1, 0]], 4)
+
+
+def generated_group(gens, n):
+    """Every product of the permutations gens (vertex images), by BFS."""
+    identity = tuple(range(n))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        grown = []
+        for g in frontier:
+            for s in gens:
+                h = tuple(s[g[v]] for v in range(n))
+                if h not in group:
+                    group.add(h)
+                    grown.append(h)
+        frontier = grown
+    return group
+
+
+def assert_generates_automorphisms(n, edges):
+    nbrs = [0] * n
+    for u, v in edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    assert generated_group(_canon.automorphisms(nbrs), n) == vf2_automorphisms(n, edges)
+
+
+class TestAutomorphisms:
+    """The generators the refinement search records, against networkx VF2."""
+
+    def test_atlas_to_six_vertices(self):
+        # Disconnected graphs included.
+        nx = pytest.importorskip("networkx")
+        for h in nx.graph_atlas_g():
+            if h.number_of_nodes() <= 6:
+                assert_generates_automorphisms(h.number_of_nodes(), h.edges)
+
+    def test_level_seven(self):
+        for code in enumeration._level_codes(7, (0, False)):
+            assert_generates_automorphisms(7, graph_from_code(7, code).edges)
+
+    @pytest.mark.parametrize("n,edges", [
+        (7, list(itertools.combinations(range(7), 2))),
+        (7, [(0, v) for v in range(1, 7)]),
+        (10, SYMMETRIC_TEN["5K2"]),
+        (6, [(i, j) for i in range(3) for j in range(3, 6)]),
+        (10, SYMMETRIC_TEN["C10"]),
+        (10, SYMMETRIC_TEN["Petersen"]),
+    ], ids=["K7", "K1,6", "5K2", "K3,3", "C10", "Petersen"])
+    def test_symmetric_graphs(self, n, edges):
+        assert_generates_automorphisms(n, edges)
+
+    def test_trivial_group_gives_none(self):
+        # The smallest asymmetric graphs have 6 vertices.
+        g = build_graph(6, [(0, 2), (1, 2), (1, 3), (1, 4), (2, 4), (3, 5)])
+        assert _canon.automorphisms(neighbour_masks(g)) == []
 
 
 def naive_weight_columns(n):

@@ -1,7 +1,8 @@
 """Reports are pinned: every field but elapsed_ms must match the stored files.
 
 tests/golden/theorems.json holds verify_theorem(...).to_dict() for thm1
-n = 5..8, thm2 n = 4..8 and thm3 n = 4..7; tests/golden/lemmas.json holds
+n = 5..9 (n = 9 is the girth-5 lane at its enumeration cap), thm2
+n = 4..8 and thm3 n = 4..7; tests/golden/lemmas.json holds
 verify_lemmas(n).to_dict() for n = 1..7; tests/golden/n8.json holds the
 two n = 8 frontier reports, verify_theorem("thm3", 8) and verify_lemmas(8).
 elapsed_ms is dropped from all of them.  tests/golden/reports.json holds
