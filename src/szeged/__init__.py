@@ -14,8 +14,6 @@ from .errors import (
     GraphError,
     HypothesisViolated,
     InvalidTreeSpec,
-    NotACycle,
-    NotAnEdge,
     SamePair,
     SelfLoop,
     TooLarge,
@@ -51,25 +49,16 @@ from .graphs import (
     girth,
     is_bipartite,
     is_connected,
-    is_isometric_cycle,
     odd_girth,
     path_graph,
     relabel,
 )
 from .invariants import (
-    EdgePartition,
     IndexReport,
     PairContribution,
     blocks_all_complete,
-    edge_partition,
     index_report,
-    mu,
-    n0_sum,
     pi,
-    revised_szeged_x4,
-    szeged,
-    szeged_via_mu,
-    wiener,
 )
 from .verify import (
     LemmaReport,

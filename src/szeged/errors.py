@@ -17,14 +17,6 @@ class VertexOutOfRange(GraphError):
     """An edge endpoint is not in [0, n)."""
 
 
-class NotACycle(GraphError):
-    """A vertex sequence does not describe a cycle of the graph."""
-
-
-class NotAnEdge(GraphError):
-    """The given vertex pair is not an edge of the graph."""
-
-
 class Disconnected(GraphError):
     """The operation is only defined for connected graphs."""
 

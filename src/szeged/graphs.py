@@ -5,13 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from . import _canon
-from .errors import (
-    DuplicateEdge,
-    GraphError,
-    NotACycle,
-    SelfLoop,
-    VertexOutOfRange,
-)
+from .errors import DuplicateEdge, GraphError, SelfLoop, VertexOutOfRange
 
 
 class Graph:
@@ -338,37 +332,6 @@ def blocks(g: Graph) -> BlockDecomposition:
                     found.append(frozenset(members))
     found.sort(key=sorted)
     return BlockDecomposition(tuple(found))
-
-
-def _check_cycle(g: Graph, cycle) -> tuple[int, ...]:
-    seq = tuple(cycle)
-    k = len(seq)
-    if k < 3 or len(set(seq)) != k:
-        raise NotACycle("need at least 3 distinct vertices")
-    for i, u in enumerate(seq):
-        if not 0 <= u < g.n:
-            raise NotACycle(f"vertex {u} not in graph")
-        v = seq[(i + 1) % k]
-        if not g.has_edge(u, v):
-            raise NotACycle(f"({u}, {v}) is not an edge")
-    return seq
-
-
-def is_isometric_cycle(g: Graph, cycle) -> bool:
-    """True iff distances along the cycle match distances in g.
-
-    cycle is a vertex sequence with consecutive pairs (and the wrap-around
-    pair) adjacent; NotACycle otherwise.
-    """
-    seq = _check_cycle(g, cycle)
-    k = len(seq)
-    dm = apsp(g)
-    for i in range(k):
-        for j in range(i + 1, k):
-            around = min(j - i, k - (j - i))
-            if dm.dist(seq[i], seq[j]) != around:
-                return False
-    return True
 
 
 def adjacency_bits(g: Graph) -> list[int]:

@@ -1,16 +1,17 @@
-"""Wiener, Szeged, and revised Szeged indices, with the pairwise oracle.
+"""Wiener, Szeged, and revised Szeged indices, and the pair slack pi.
 
-The revised index is handled as the integer 4*Sz(G)* throughout: each edge
+index_report computes all three indices of a connected graph from one
+all-sources sweep; pi lists the edges one vertex pair straddles.  The
+revised index is handled as the integer 4*Sz(G)* throughout: each edge
 term (n_u + n_0/2)(n_v + n_0/2) has denominator exactly 4, so
 (2*n_u + n_0)(2*n_v + n_0) is exact and no floats ever appear.
 """
 
 from __future__ import annotations
 
-from operator import lt
 from typing import NamedTuple
 
-from .errors import Disconnected, NotAnEdge, SamePair, TooLarge
+from .errors import Disconnected, SamePair, TooLarge, VertexOutOfRange
 from .graphs import BlockDecomposition, DistanceMatrix, Graph
 
 # Nothing here calls these; perfbench/child.py spans them on this module
@@ -23,15 +24,6 @@ from .graphs import apsp, girth, is_bipartite, odd_girth  # noqa: F401
 # `compute` on a 5000-vertex cycle takes 10-11 s on 2 vCPUs, and on a
 # 5000-vertex path, which is all tree, 0.1 s.
 INDEX_MAX_N = 5000
-
-
-class EdgePartition(NamedTuple):
-    """Vertex counts by distance comparison against one edge's endpoints."""
-
-    edge: tuple[int, int]
-    n_u: int
-    n_v: int
-    n_0: int
 
 
 class PairContribution(NamedTuple):
@@ -60,105 +52,24 @@ class IndexReport(NamedTuple):
         return self._asdict()
 
 
-def _require_connected(dm: DistanceMatrix) -> None:
+def pi(g: Graph, dm: DistanceMatrix, x: int, y: int) -> PairContribution:
+    """Edges straddled by {x, y}, and their count minus d(x, y).
+
+    Raises VertexOutOfRange for an end outside 0..n-1 before any other
+    check, then Disconnected, then SamePair.
+    """
+    if not (0 <= x < g.n and 0 <= y < g.n):
+        raise VertexOutOfRange(f"pair ({x}, {y}) outside 0..{g.n - 1}")
     if not dm.connected:
         raise Disconnected("indices are defined for connected graphs only")
-
-
-def _require_edge(g: Graph, e) -> tuple[int, int]:
-    u, v = e
-    if not g.has_edge(u, v):
-        raise NotAnEdge(f"({u}, {v}) is not an edge")
-    return (u, v) if u < v else (v, u)
-
-
-def _split(du, dv) -> tuple[int, int, int]:
-    """(n_u, n_v, n_0) from the distance rows of an edge's endpoints."""
-    n_u = sum(map(lt, du, dv))
-    n_v = sum(map(lt, dv, du))
-    return n_u, n_v, len(du) - n_u - n_v
-
-
-def edge_partition(g: Graph, dm: DistanceMatrix, e) -> EdgePartition:
-    """Counts of vertices strictly closer to u, strictly closer to v, tied."""
-    _require_connected(dm)
-    u, v = _require_edge(g, e)
-    return EdgePartition((u, v), *_split(dm[u], dm[v]))
-
-
-def wiener(g: Graph, dm: DistanceMatrix) -> int:
-    """Sum of distances over unordered vertex pairs."""
-    _require_connected(dm)
-    return sum(map(sum, dm.d)) // 2
-
-
-def _szeged_pair(g: Graph, dm: DistanceMatrix) -> tuple[int, int]:
-    """(Sz, 4*Sz*) from one pass over the edges."""
-    _require_connected(dm)
-    sz = rsz4 = 0
-    for u, v in g.edges:
-        n_u, n_v, n_0 = _split(dm[u], dm[v])
-        sz += n_u * n_v
-        rsz4 += (2 * n_u + n_0) * (2 * n_v + n_0)
-    return sz, rsz4
-
-
-def szeged(g: Graph, dm: DistanceMatrix) -> int:
-    """Sum over edges of n_u * n_v."""
-    return _szeged_pair(g, dm)[0]
-
-
-def revised_szeged_x4(g: Graph, dm: DistanceMatrix) -> int:
-    """Sum over edges of (2*n_u + n_0)(2*n_v + n_0); equals 4*Sz*."""
-    return _szeged_pair(g, dm)[1]
-
-
-def mu(g: Graph, dm: DistanceMatrix, x: int, y: int, e) -> int:
-    """1 iff x and y are strictly closer to opposite endpoints of e."""
     if x == y:
         raise SamePair(f"pair needs two distinct vertices, got {x} twice")
-    u, v = _require_edge(g, e)
-    xu, xv = dm[x][u], dm[x][v]
-    yu, yv = dm[y][u], dm[y][v]
-    if xu < xv and yv < yu:
-        return 1
-    if xv < xu and yu < yv:
-        return 1
-    return 0
-
-
-def szeged_via_mu(g: Graph, dm: DistanceMatrix) -> int:
-    """Szeged index as the double sum of mu over edges and pairs.
-
-    Deliberately naive and independent of edge_partition; this is the
-    cross-check path.
-    """
-    _require_connected(dm)
-    total = 0
-    for e in g.edges:
-        for x in range(g.n):
-            for y in range(x + 1, g.n):
-                total += mu(g, dm, x, y, e)
-    return total
-
-
-def pi(g: Graph, dm: DistanceMatrix, x: int, y: int) -> PairContribution:
-    """Edges straddled by {x, y}, and their count minus d(x, y)."""
-    _require_connected(dm)
-    if x == y:
-        raise SamePair(f"pair needs two distinct vertices, got {x} twice")
-    # mu(x, y, e) is 1 iff the two distance differences across e have
-    # opposite strict signs.
+    # x and y straddle an edge uv iff the two distance differences across
+    # it have opposite strict signs.
     dx, dy = dm[x], dm[y]
     straddled = tuple((u, v) for u, v in g.edges
                       if (dx[u] - dx[v]) * (dy[u] - dy[v]) < 0)
     return PairContribution((x, y), straddled, len(straddled) - dm[x][y])
-
-
-def n0_sum(g: Graph, dm: DistanceMatrix) -> int:
-    """Total count of endpoint-equidistant vertices over all edges."""
-    _require_connected(dm)
-    return sum(_split(dm[u], dm[v])[2] for u, v in g.edges)
 
 
 def blocks_all_complete(g: Graph, bd: BlockDecomposition) -> bool:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import time
+from itertools import compress
+from operator import eq, lt
 from typing import NamedTuple
 
 from .enumeration import UniverseFilter, enumerate_connected
@@ -17,7 +19,7 @@ from .extremal import (  # THEOREMS and universe_filter stay importable here
 )
 from .formats import canonical_form
 from .graphs import Graph, apsp, blocks, girth
-from .invariants import blocks_all_complete, index_report, pi, szeged, wiener
+from .invariants import blocks_all_complete, index_report, pi
 
 
 def _name(g: Graph) -> str:
@@ -156,12 +158,33 @@ def _cycle_pairs_ok(g: Graph, dm) -> bool:
     return True
 
 
-def _block_iff_ok(g: Graph, dm) -> bool:
+def _edge_pass(g: Graph, dm) -> tuple[int, int, int]:
+    """(Sz, n_0 total, untied) from one pass over the edges.
+
+    For each edge uv, n_u and n_v count the vertices strictly closer to u
+    and to v, and the other n_0 are tied; Sz sums n_u * n_v.  untied is
+    the bitmask of the vertices tied on no edge.
+    """
+    n = g.n
+    bits = [1 << w for w in range(n)]
+    sz = n0 = tied = 0
+    for a, b in g.edges:
+        da, db = dm[a], dm[b]
+        n_a = sum(map(lt, da, db))
+        n_b = sum(map(lt, db, da))
+        sz += n_a * n_b
+        if n_a + n_b < n:
+            n0 += n - n_a - n_b
+            tied |= sum(compress(bits, map(eq, da, db)))
+    return sz, n0, ((1 << n) - 1) ^ tied
+
+
+def _block_iff_ok(g: Graph, w: int, sz: int) -> bool:
     """Sz equals W exactly when every block is complete."""
-    return blocks_all_complete(g, blocks(g)) == (szeged(g, dm) == wiener(g, dm))
+    return blocks_all_complete(g, blocks(g)) == (sz == w)
 
 
-def _equidistant_ok(g: Graph, dm) -> bool:
+def _equidistant_ok(n: int, n0: int, untied: int) -> bool:
     """Nonbipartite, n >= 4: every vertex is equidistant on some edge,
     and the n_0 total over edges reaches n.
 
@@ -169,17 +192,7 @@ def _equidistant_ok(g: Graph, dm) -> bool:
     parity rules ties out, and the vertex opposite an edge of a shortest
     odd cycle is one.  So a tie total of 0 marks the bipartite graphs.
     """
-    if g.n < 4:
-        return True
-    n0 = 0
-    untied = (1 << g.n) - 1  # vertices equidistant on no edge yet
-    for a, b in g.edges:
-        da, db = dm[a], dm[b]
-        for u in range(g.n):
-            if da[u] == db[u]:
-                n0 += 1
-                untied &= ~(1 << u)
-    return n0 == 0 or (n0 >= g.n and not untied)
+    return n < 4 or n0 == 0 or (n0 >= n and not untied)
 
 
 def verify_lemmas(n: int) -> LemmaReport:
@@ -192,11 +205,13 @@ def verify_lemmas(n: int) -> LemmaReport:
     for g in enumerate_connected(UniverseFilter(n)):
         size += 1
         dm = apsp(g)
+        sz, n0, untied = _edge_pass(g, dm)
+        w = sum(map(sum, dm.d)) // 2
         if not _cycle_pairs_ok(g, dm):
             cycle_bad.append(_name(g))
-        if not _block_iff_ok(g, dm):
+        if not _block_iff_ok(g, w, sz):
             block_bad.append(_name(g))
-        if not _equidistant_ok(g, dm):
+        if not _equidistant_ok(g.n, n0, untied):
             equi_bad.append(_name(g))
     elapsed = int((time.perf_counter() - t0) * 1000)
     return LemmaReport(

@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations for the tests.
 
 Nothing here imports the package under test.  Distances come from simple-path
-enumeration, cycles from explicit subset search, connectivity from union-find,
+enumeration, the indices from formulas over a plain table of distance rows,
+cycles from explicit subset search, connectivity from union-find,
 and isomorphism dedup from a full permutation sweep over a row-major bit
 encoding (the package uses column-major), so agreement is meaningful.
 The lex-min code the package's names follow is refereed by lexmin_codes,
@@ -46,35 +47,70 @@ def dist_path_enum(n, edges, s, t):
     return best[0]
 
 
-def all_dists(n, edges):
-    return {(u, v): dist_path_enum(n, edges, u, v)
-            for u in range(n) for v in range(n)}
+def dist_table(n, edges):
+    """Distance rows d[u][v], every entry by simple-path enumeration."""
+    return [[dist_path_enum(n, edges, u, v) for v in range(n)] for u in range(n)]
 
 
-def wiener_oracle(n, edges):
-    d = all_dists(n, edges)
-    return sum(d[u, v] for u, v in pairs_rowmajor(n))
+# The index formulas below read any table of distance rows d[u][v]: the
+# path-enumeration table above for small n, or the package's apsp rows for
+# large shapes, so one formula set serves both.
+
+def wiener_oracle(d):
+    return sum(d[u][v] for u, v in pairs_rowmajor(len(d)))
 
 
-def szeged_oracle(n, edges):
-    d = all_dists(n, edges)
-    total = 0
-    for u, v in edges:
-        nu = sum(1 for w in range(n) if d[w, u] < d[w, v])
-        nv = sum(1 for w in range(n) if d[w, v] < d[w, u])
-        total += nu * nv
-    return total
+def edge_split(d, u, v):
+    """(n_u, n_v, n_0): the vertices strictly closer to u, strictly closer
+    to v, and at equal distance from both, each counted on its own."""
+    ws = range(len(d))
+    return (sum(d[w][u] < d[w][v] for w in ws),
+            sum(d[w][v] < d[w][u] for w in ws),
+            sum(d[w][u] == d[w][v] for w in ws))
 
 
-def revised_szeged_x4_oracle(n, edges):
-    d = all_dists(n, edges)
-    total = 0
-    for u, v in edges:
-        nu = sum(1 for w in range(n) if d[w, u] < d[w, v])
-        nv = sum(1 for w in range(n) if d[w, v] < d[w, u])
-        n0 = n - nu - nv
-        total += (2 * nu + n0) * (2 * nv + n0)
-    return total
+def szeged_oracle(d, edges):
+    return sum(nu * nv for nu, nv, _ in (edge_split(d, u, v) for u, v in edges))
+
+
+def revised_szeged_x4_oracle(d, edges):
+    return sum((2 * nu + n0) * (2 * nv + n0)
+               for nu, nv, n0 in (edge_split(d, u, v) for u, v in edges))
+
+
+def tie_total_oracle(d, edges):
+    """n_0 summed over the edges."""
+    return sum(edge_split(d, u, v)[2] for u, v in edges)
+
+
+def untied_oracle(d, edges):
+    """Bitmask of the vertices at equal distance from the ends of no edge."""
+    return sum(1 << w for w in range(len(d))
+               if all(d[w][u] != d[w][v] for u, v in edges))
+
+
+def mu_oracle(d, x, y, u, v):
+    """1 iff x and y are strictly closer to opposite ends of the edge uv."""
+    return int(d[x][u] < d[x][v] and d[y][v] < d[y][u]
+               or d[x][v] < d[x][u] and d[y][u] < d[y][v])
+
+
+def szeged_via_mu_oracle(d, edges):
+    """Sz as the double sum of mu over edges and vertex pairs, without any
+    edge split."""
+    return sum(mu_oracle(d, x, y, u, v)
+               for u, v in edges for x, y in pairs_rowmajor(len(d)))
+
+
+def is_isometric_cycle(d, cycle):
+    """True iff distances along the cycle, a vertex sequence, equal d.
+
+    Steps along it must then be edges and its vertices distinct, so for
+    three or more vertices True also says that it is a cycle of the graph.
+    """
+    k = len(cycle)
+    return all(d[cycle[i]][cycle[j]] == min(j - i, k - j + i)
+               for i, j in pairs_rowmajor(k))
 
 
 def _subset_has_cycle(edge_set, subset):

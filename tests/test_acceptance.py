@@ -21,12 +21,9 @@ from szeged import (
     enumerate_connected,
     index_report,
     pi,
-    szeged,
-    szeged_via_mu,
     universe_filter,
     verify_lemmas,
     verify_theorem,
-    wiener,
 )
 
 PAW_EDGES = ((0, 1), (0, 2), (1, 2), (0, 3))
@@ -194,19 +191,19 @@ def test_criterion_6_thm3_exhaustive(capsys):
 
 
 def test_criterion_7_oracle_equivalence(capsys):
-    label = ["szeged = szeged_via_mu and sum(pi) = Sz - W"]
+    label = ["Sz = mu double sum and sum(pi) = Sz - W"]
     with criterion(capsys, 7, label):
         checked = 0
         for which, lo, hi in (("thm1", 5, 8), ("thm2", 4, 7), ("thm3", 4, 7)):
             for n in range(lo, hi + 1):
                 for g in enumerate_connected(universe_filter(which, n)):
                     dm = apsp(g)
-                    sz = szeged(g, dm)
-                    assert sz == szeged_via_mu(g, dm)
+                    r = index_report(g)
+                    assert r.szeged == oracles.szeged_via_mu_oracle(dm.d, g.edges)
                     slack = sum(pi(g, dm, x, y).pi
                                 for x in range(g.n)
                                 for y in range(x + 1, g.n))
-                    assert slack == sz - wiener(g, dm)
+                    assert slack == r.gap_sz
                     checked += 1
         assert checked > 0
         label.append(f"{checked} universe graphs, all exact")
@@ -241,11 +238,11 @@ def test_criterion_9_spot_values(capsys):
             (complete_graph(4), (6, 6, 96)),
         ]
         for g, want in cases:
-            dm = apsp(g)
-            got = (wiener(g, dm), szeged(g, dm),
-                   index_report(g).revised_szeged_x4)
+            r = index_report(g)
+            got = (r.wiener, r.szeged, r.revised_szeged_x4)
             assert got == want
-            assert got == (oracles.wiener_oracle(g.n, g.edges),
-                           oracles.szeged_oracle(g.n, g.edges),
-                           oracles.revised_szeged_x4_oracle(g.n, g.edges))
+            d = oracles.dist_table(g.n, g.edges)
+            assert got == (oracles.wiener_oracle(d),
+                           oracles.szeged_oracle(d, g.edges),
+                           oracles.revised_szeged_x4_oracle(d, g.edges))
         label.append("all exact, matched against the path-enumeration oracle")

@@ -1,4 +1,8 @@
-"""Distance-based indices, edge partitions, and the pair slack pi."""
+"""Distance-based indices, edge partitions, and the pair slack pi.
+
+The package computes the indices by index_report only; the edge-partition
+and mu formulas are the referees of tests/oracles.py, fed apsp rows.
+"""
 
 from __future__ import annotations
 
@@ -11,11 +15,11 @@ from hypothesis import strategies as st
 import oracles
 from szeged import (
     Disconnected,
-    NotAnEdge,
     SamePair,
     TooLarge,
     TreeSpec,
     UniverseFilter,
+    VertexOutOfRange,
     apsp,
     blocks,
     blocks_all_complete,
@@ -23,30 +27,31 @@ from szeged import (
     complete_graph,
     cycle_graph,
     cycle_with_tree,
-    edge_partition,
     enumerate_connected,
     girth,
     index_report,
     is_bipartite,
-    mu,
-    n0_sum,
     odd_girth,
     path_graph,
     pi,
     relabel,
-    revised_szeged_x4,
-    szeged,
-    szeged_via_mu,
-    wiener,
 )
 from szeged.invariants import INDEX_MAX_N
+from szeged.verify import _edge_pass
 
 PAW = [(0, 1), (0, 2), (1, 2), (0, 3)]
 
 
 def indices(g):
-    dm = apsp(g)
-    return wiener(g, dm), szeged(g, dm), revised_szeged_x4(g, dm)
+    r = index_report(g)
+    return r.wiener, r.szeged, r.revised_szeged_x4
+
+
+def oracle_indices(n, edges):
+    """(W, Sz, 4Sz*) by the referee's formulas on path-enumeration distances."""
+    d = oracles.dist_table(n, edges)
+    return (oracles.wiener_oracle(d), oracles.szeged_oracle(d, edges),
+            oracles.revised_szeged_x4_oracle(d, edges))
 
 
 def random_tree(rng, n):
@@ -59,10 +64,13 @@ def small_connected(max_n, min_n=1):
 
 
 def reference_report(g):
-    """index_report's fields by the per-source path: apsp feeding the index
-    functions, plus the BFS bipartite test and the shortest-cycle scans."""
-    dm = apsp(g)
-    w, sz, rsz4 = wiener(g, dm), szeged(g, dm), revised_szeged_x4(g, dm)
+    """index_report's fields by the per-source path: apsp rows feeding the
+    referee's formulas, plus the BFS bipartite test and the shortest-cycle
+    scans."""
+    d = apsp(g).d
+    w = oracles.wiener_oracle(d)
+    sz = oracles.szeged_oracle(d, g.edges)
+    rsz4 = oracles.revised_szeged_x4_oracle(d, g.edges)
     return {"n": g.n, "m": g.m, "wiener": w, "szeged": sz,
             "revised_szeged_x4": rsz4, "gap_sz": sz - w,
             "gap_rsz_x4": rsz4 - 4 * w, "bipartite": bool(is_bipartite(g)),
@@ -79,9 +87,7 @@ class TestSpotValues:
     def test_frozen_and_oracle(self, n, edges, want):
         got = indices(build_graph(n, edges))
         assert got == want
-        assert got == (oracles.wiener_oracle(n, edges),
-                       oracles.szeged_oracle(n, edges),
-                       oracles.revised_szeged_x4_oracle(n, edges))
+        assert got == oracle_indices(n, edges)
 
     def test_path_wiener(self):
         g = path_graph(5)
@@ -90,78 +96,54 @@ class TestSpotValues:
 
 
 class TestEdgePartition:
+    """The referee's edge split, on apsp rows."""
+
+    @staticmethod
+    def split(g, e):
+        return oracles.edge_split(apsp(g).d, *e)
+
     def test_c5_every_edge(self):
         g = cycle_graph(5)
-        dm = apsp(g)
         for e in g.edges:
-            p = edge_partition(g, dm, e)
-            assert (p.n_u, p.n_v, p.n_0) == (2, 2, 1)
+            assert self.split(g, e) == (2, 2, 1)
 
     def test_paw_triangle_base(self):
-        g = build_graph(4, PAW)
-        p = edge_partition(g, apsp(g), (1, 2))
-        assert (p.n_u, p.n_v, p.n_0) == (1, 1, 2)
+        assert self.split(build_graph(4, PAW), (1, 2)) == (1, 1, 2)
 
     def test_star_center_edge(self):
-        g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-        p = edge_partition(g, apsp(g), (0, 1))
-        assert (p.n_u, p.n_v, p.n_0) == (3, 1, 0)
-
-    def test_endpoint_order_normalized(self):
-        g = cycle_graph(5)
-        dm = apsp(g)
-        assert edge_partition(g, dm, (1, 0)) == edge_partition(g, dm, (0, 1))
-
-    def test_not_an_edge(self):
-        g = cycle_graph(5)
-        with pytest.raises(NotAnEdge):
-            edge_partition(g, apsp(g), (0, 2))
-
-    @pytest.mark.parametrize("e", [(-1, 0), (0, -1), (0, 5), (5, 4)])
-    def test_out_of_range_endpoint_is_not_an_edge(self, e):
-        g = cycle_graph(5)
-        dm = apsp(g)
-        with pytest.raises(NotAnEdge):
-            edge_partition(g, dm, e)
-        with pytest.raises(NotAnEdge):
-            mu(g, dm, 1, 3, e)
+        assert self.split(build_graph(4, [(0, 1), (0, 2), (0, 3)]), (0, 1)) == (3, 1, 0)
 
     def test_counts_sum_to_n(self):
         for g in small_connected(6, min_n=2):
-            dm = apsp(g)
+            d = apsp(g).d
             for e in g.edges:
-                p = edge_partition(g, dm, e)
-                assert p.n_u + p.n_v + p.n_0 == g.n
-                assert p.n_u >= 1 and p.n_v >= 1
+                n_u, n_v, n_0 = oracles.edge_split(d, *e)
+                assert n_u + n_v + n_0 == g.n
+                assert n_u >= 1 and n_v >= 1
 
 
 class TestMu:
+    """The referee's mu, on apsp rows."""
+
     def test_p3(self):
-        g = path_graph(3)
-        dm = apsp(g)
-        assert mu(g, dm, 0, 2, (1, 2)) == 1
-        assert mu(g, dm, 0, 2, (0, 1)) == 1
-        assert mu(g, dm, 0, 1, (1, 2)) == 0
+        d = apsp(path_graph(3)).d
+        assert oracles.mu_oracle(d, 0, 2, 1, 2) == 1
+        assert oracles.mu_oracle(d, 0, 2, 0, 1) == 1
+        assert oracles.mu_oracle(d, 0, 1, 1, 2) == 0
 
     def test_c5_distance_two_pair(self):
-        g = cycle_graph(5)
-        dm = apsp(g)
-        assert mu(g, dm, 0, 2, (3, 4)) == 1
-        assert mu(g, dm, 0, 2, (2, 3)) == 0
+        d = apsp(cycle_graph(5)).d
+        assert oracles.mu_oracle(d, 0, 2, 3, 4) == 1
+        assert oracles.mu_oracle(d, 0, 2, 2, 3) == 0
 
     def test_symmetric_in_the_pair(self):
         g = build_graph(4, PAW)
-        dm = apsp(g)
+        d = apsp(g).d
         for e in g.edges:
             for x in range(4):
                 for y in range(4):
                     if x != y:
-                        assert mu(g, dm, x, y, e) == mu(g, dm, y, x, e)
-
-    def test_same_pair_rejected(self):
-        g = cycle_graph(5)
-        with pytest.raises(SamePair):
-            mu(g, apsp(g), 2, 2, (0, 1))
+                        assert oracles.mu_oracle(d, x, y, *e) == oracles.mu_oracle(d, y, x, *e)
 
 
 class TestPi:
@@ -194,12 +176,24 @@ class TestPi:
                     p = pi(g, dm, x, y)
                     assert p.pi >= 0
                     total += p.pi
-            assert total == szeged(g, dm) - wiener(g, dm)
+            assert total == index_report(g).gap_sz
 
     def test_same_pair_rejected(self):
         g = cycle_graph(4)
         with pytest.raises(SamePair):
             pi(g, apsp(g), 0, 0)
+
+    @pytest.mark.parametrize("x,y", [(-1, 1), (1, -1), (0, 5), (5, 0), (-1, -1)])
+    def test_ends_outside_the_graph_rejected(self, x, y):
+        # -1 must not read vertex 4's row, and 5 must not raise IndexError.
+        g = cycle_graph(5)
+        with pytest.raises(VertexOutOfRange):
+            pi(g, apsp(g), x, y)
+
+    def test_range_is_checked_first(self):
+        g = build_graph(4, [(0, 1), (2, 3)])
+        with pytest.raises(VertexOutOfRange):
+            pi(g, apsp(g), 4, 4)
 
 
 def random_graph_of_kind(rng, kind, max_n=10):
@@ -257,38 +251,39 @@ def test_pi_matches_mu_definition(seed):
     dm = apsp(g)
     for x in range(n):
         for y in range(x + 1, n):
-            want = tuple(e for e in g.edges if mu(g, dm, x, y, e))
+            want = tuple(e for e in g.edges if oracles.mu_oracle(dm.d, x, y, *e))
             p = pi(g, dm, x, y)
             assert p.pair == (x, y)
             assert p.mu_edges == want and p.pi == len(want) - dm[x][y]
 
 
 class TestDualFormula:
+    """index_report's Sz against the double sum of mu over edges and pairs."""
+
     def test_exhaustive_small(self):
         for g in small_connected(6, min_n=2):
-            dm = apsp(g)
-            assert szeged(g, dm) == szeged_via_mu(g, dm)
+            assert index_report(g).szeged == oracles.szeged_via_mu_oracle(apsp(g).d, g.edges)
 
     def test_random_instances(self):
         rng = random.Random(42)
         for _ in range(300):
             n, edges = oracles.random_connected_graph(rng, max_n=10)
             g = build_graph(n, edges)
-            dm = apsp(g)
-            assert szeged(g, dm) == szeged_via_mu(g, dm)
+            assert index_report(g).szeged == oracles.szeged_via_mu_oracle(apsp(g).d, g.edges)
 
 
 class TestNZeroSum:
+    """The tie total of the lemma suite's edge pass."""
+
     def test_examples(self):
-        assert n0_sum(cycle_graph(5), apsp(cycle_graph(5))) == 5
-        assert n0_sum(cycle_graph(4), apsp(cycle_graph(4))) == 0
+        assert _edge_pass(cycle_graph(5), apsp(cycle_graph(5)))[1] == 5
+        assert _edge_pass(cycle_graph(4), apsp(cycle_graph(4)))[1] == 0
         g = build_graph(4, PAW)
-        assert n0_sum(g, apsp(g)) == 4
+        assert _edge_pass(g, apsp(g))[1] == 4
 
     def test_bipartite_means_zero(self):
         for g in small_connected(6, min_n=2):
-            if is_bipartite(g):
-                assert n0_sum(g, apsp(g)) == 0
+            assert (_edge_pass(g, apsp(g))[1] == 0) == bool(is_bipartite(g))
 
 
 class TestOrderingAndEquality:
@@ -486,14 +481,8 @@ class TestPendantTrees:
 class TestDisconnectedRejected:
     def test_all_entry_points(self):
         g = build_graph(4, [(0, 1), (2, 3)])
-        dm = apsp(g)
-        for fn in (wiener, szeged, revised_szeged_x4, szeged_via_mu, n0_sum):
-            with pytest.raises(Disconnected):
-                fn(g, dm)
         with pytest.raises(Disconnected):
-            edge_partition(g, dm, (0, 1))
-        with pytest.raises(Disconnected):
-            pi(g, dm, 0, 1)
+            pi(g, apsp(g), 0, 1)
         with pytest.raises(Disconnected):
             index_report(g)
 
@@ -501,13 +490,18 @@ class TestDisconnectedRejected:
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_partition_identity_random(seed):
+    # Every edge splits the vertices in three, and the lemma suite's edge
+    # pass totals the splits as the referee does.
     rng = random.Random(seed)
     n, edges = oracles.random_connected_graph(rng, max_n=12)
     g = build_graph(n, edges)
     dm = apsp(g)
+    d = dm.d
     for e in g.edges:
-        p = edge_partition(g, dm, e)
-        assert p.n_u + p.n_v + p.n_0 == n
+        assert sum(oracles.edge_split(d, *e)) == n
+    assert _edge_pass(g, dm) == (oracles.szeged_oracle(d, g.edges),
+                                 oracles.tie_total_oracle(d, g.edges),
+                                 oracles.untied_oracle(d, g.edges))
 
 
 @settings(max_examples=60, deadline=None)
@@ -519,7 +513,4 @@ def test_indices_invariant_under_relabeling(seed, data):
     perm = data.draw(st.permutations(range(n)))
     r = index_report(g)
     assert index_report(relabel(g, perm)) == r
-    assert (r.wiener, r.szeged, r.revised_szeged_x4) == (
-        oracles.wiener_oracle(n, edges),
-        oracles.szeged_oracle(n, edges),
-        oracles.revised_szeged_x4_oracle(n, edges))
+    assert (r.wiener, r.szeged, r.revised_szeged_x4) == oracle_indices(n, edges)

@@ -186,6 +186,14 @@ class TestLemmas:
         json.dumps(d)
 
 
+def lemma_values(g, dm):
+    """What verify_lemmas hands the checks for g with distances dm: W from
+    the row sums, and Sz, the tie total and the untied mask from the edge
+    pass."""
+    sz, n0, untied = verify_module._edge_pass(g, dm)
+    return sum(map(sum, dm.d)) // 2, sz, n0, untied
+
+
 class TestLemmaChecks:
     """Each check reads the distance matrix it is given: with the matrix
     of another graph on the same vertices, chosen below, it fails."""
@@ -198,13 +206,15 @@ class TestLemmaChecks:
     def test_matching_distances_pass(self):
         for g in (self.PAW, self.STAR, self.PATH, cycle_graph(4), complete_graph(4)):
             dm = apsp(g)
+            w, sz, n0, untied = lemma_values(g, dm)
             assert verify_module._cycle_pairs_ok(g, dm)
-            assert verify_module._block_iff_ok(g, dm)
-            assert verify_module._equidistant_ok(g, dm)
+            assert verify_module._block_iff_ok(g, w, sz)
+            assert verify_module._equidistant_ok(g.n, n0, untied)
 
     def test_block_iff_reads_dm(self):
         # The paw's blocks are complete, but with the path's distances Sz != W.
-        assert not verify_module._block_iff_ok(self.PAW, apsp(path_graph(4)))
+        w, sz, _, _ = lemma_values(self.PAW, apsp(path_graph(4)))
+        assert not verify_module._block_iff_ok(self.PAW, w, sz)
 
     def test_cycle_pairs_read_dm(self):
         # With K4's distances no pair of the 4-cycle has positive slack.
@@ -212,7 +222,8 @@ class TestLemmaChecks:
 
     def test_equidistant_reads_dm(self):
         # With the path's distances some star edge has a tie, yet fewer than n.
-        assert not verify_module._equidistant_ok(self.STAR, apsp(self.PATH))
+        _, _, n0, untied = lemma_values(self.STAR, apsp(self.PATH))
+        assert not verify_module._equidistant_ok(self.STAR.n, n0, untied)
 
     def test_lemmas_do_not_use_index_report(self, monkeypatch):
         def refuse(g):
@@ -221,6 +232,20 @@ class TestLemmaChecks:
         monkeypatch.setattr(verify_module, "index_report", refuse)
         r = verify_lemmas(6)
         assert r.ok and r.universe_size == 112
+
+
+class TestEdgePass:
+    """The lemma suite's one pass over the edges against the referee's
+    formulas, fed the same apsp rows."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_connected_class(self, n):
+        for g in enumerate_connected(UniverseFilter(n)):
+            dm = apsp(g)
+            assert verify_module._edge_pass(g, dm) == (
+                oracles.szeged_oracle(dm.d, g.edges),
+                oracles.tie_total_oracle(dm.d, g.edges),
+                oracles.untied_oracle(dm.d, g.edges))
 
 
 class TestNaming:
