@@ -1,17 +1,19 @@
 """Wiener, Szeged, and revised Szeged indices, and the pair slack pi.
 
-index_report computes all three indices of a connected graph from one
-all-sources sweep; pi lists the edges one vertex pair straddles.  The
-revised index is handled as the integer 4*Sz(G)* throughout: each edge
-term (n_u + n_0/2)(n_v + n_0/2) has denominator exactly 4, so
-(2*n_u + n_0)(2*n_v + n_0) is exact and no floats ever appear.
+_indices computes all three indices of a connected graph, and the tie
+total and untied cover the lemma suite reads, from one all-sources sweep
+and one pass over the edges; index_report packs its indices, and pi lists
+the edges one vertex pair straddles.  The revised index is handled as the
+integer 4*Sz(G)* throughout: each edge term (n_u + n_0/2)(n_v + n_0/2)
+has denominator exactly 4, so (2*n_u + n_0)(2*n_v + n_0) is exact and no
+floats ever appear.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import Disconnected, SamePair, TooLarge, VertexOutOfRange
+from .errors import Disconnected, GraphError, SamePair, TooLarge, VertexOutOfRange
 from .graphs import BlockDecomposition, DistanceMatrix, Graph
 
 # Nothing here calls these; perfbench/child.py spans them on this module
@@ -52,23 +54,29 @@ class IndexReport(NamedTuple):
         return self._asdict()
 
 
+def _straddled(g: Graph, dx, dy) -> tuple[tuple[int, int], ...]:
+    """Edges across which the distance rows dx and dy change in opposite
+    strict directions: those that the pair of their sources straddles."""
+    return tuple((u, v) for u, v in g.edges
+                 if (dx[u] - dx[v]) * (dy[u] - dy[v]) < 0)
+
+
 def pi(g: Graph, dm: DistanceMatrix, x: int, y: int) -> PairContribution:
     """Edges straddled by {x, y}, and their count minus d(x, y).
 
     Raises VertexOutOfRange for an end outside 0..n-1 before any other
-    check, then Disconnected, then SamePair.
+    check, then GraphError for a matrix whose order is not n, then
+    Disconnected, then SamePair.
     """
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise VertexOutOfRange(f"pair ({x}, {y}) outside 0..{g.n - 1}")
+    if dm.n != g.n:
+        raise GraphError(f"distance matrix of order {dm.n} for a graph with n = {g.n}")
     if not dm.connected:
         raise Disconnected("indices are defined for connected graphs only")
     if x == y:
         raise SamePair(f"pair needs two distinct vertices, got {x} twice")
-    # x and y straddle an edge uv iff the two distance differences across
-    # it have opposite strict signs.
-    dx, dy = dm[x], dm[y]
-    straddled = tuple((u, v) for u, v in g.edges
-                      if (dx[u] - dx[v]) * (dy[u] - dy[v]) < 0)
+    straddled = _straddled(g, dm[x], dm[y])
     return PairContribution((x, y), straddled, len(straddled) - dm[x][y])
 
 
@@ -226,8 +234,8 @@ def _sweep(g: Graph):
     return trans, odd, odd_level, even_level
 
 
-def index_report(g: Graph) -> IndexReport:
-    """Bundle all indices and gaps for one connected graph.
+def _indices(g: Graph):
+    """(W, Sz, n_0 total, untied, 4Sz*, girth, odd girth) of a connected graph.
 
     Everything comes from one _sweep, bipartiteness from its odd test, and
     one pass over the edges.  Across an edge uv every distance changes by
@@ -236,29 +244,40 @@ def index_report(g: Graph) -> IndexReport:
     n_u + n_v = |odd[u] ^ odd[v]|.  An edge into a pendant tree is a
     bridge, so nothing is tied and n_u + n_v = n there, as odd is kept
     for core vertices only.  Writing a and b for these two,
-    4 n_u n_v = a^2 - b^2 and (2 n_u + n_0)(2 n_v + n_0) = n^2 - b^2.
+    4 n_u n_v = a^2 - b^2 and (2 n_u + n_0)(2 n_v + n_0) = n^2 - b^2, and
+    the edge has n - a ties.  untied, the bitmask of the vertices tied on
+    no edge, is the AND of odd[u] ^ odd[v] over the core edges.
     """
     n = g.n
     if n > INDEX_MAX_N:
         raise TooLarge(f"index report is capped at n = {INDEX_MAX_N}, got n = {n}")
     trans, odd, odd_level, even_level = _sweep(g)
-    sz4 = b2 = 0
+    sz4 = b2 = a_sum = 0
+    untied = (1 << n) - 1
     for u, v in g.edges:
         if odd[u] is None or odd[v] is None:
             a = n
         else:
-            a = (odd[u] ^ odd[v]).bit_count()
+            split = odd[u] ^ odd[v]
+            untied &= split
+            a = split.bit_count()
         b = trans[v] - trans[u]
         sz4 += a * a
         b2 += b * b
+        a_sum += a
     w = sum(trans) // 2
-    sz = (sz4 - b2) // 4
-    rsz4 = g.m * n * n - b2
     odd_len = None if odd_level is None else 2 * odd_level + 1
     even_len = None if even_level is None else 2 * even_level
     length = min((x for x in (odd_len, even_len) if x is not None), default=None)
+    return (w, (sz4 - b2) // 4, g.m * n - a_sum, untied,
+            g.m * n * n - b2, length, odd_len)
+
+
+def index_report(g: Graph) -> IndexReport:
+    """Bundle all indices and gaps for one connected graph, from _indices."""
+    w, sz, _, _, rsz4, length, odd_len = _indices(g)
     return IndexReport(
-        n=n,
+        n=g.n,
         m=g.m,
         wiener=w,
         szeged=sz,

@@ -1,10 +1,13 @@
-"""Exhaustive verification of the index bounds over small-graph universes."""
+"""Exhaustive verification of the index bounds over small-graph universes.
+
+index_report gives verify_theorem its gaps; verify_lemmas reads W, Sz and
+the ties from the same sweep and edge pass, and BFS rows of a shortest
+cycle only.
+"""
 
 from __future__ import annotations
 
 import time
-from itertools import compress
-from operator import eq, lt
 from typing import NamedTuple
 
 from .enumeration import UniverseFilter, enumerate_connected
@@ -18,8 +21,12 @@ from .extremal import (  # THEOREMS and universe_filter stay importable here
     universe_filter,
 )
 from .formats import canonical_form
-from .graphs import Graph, apsp, blocks, girth
-from .invariants import blocks_all_complete, index_report, pi
+from .graphs import Graph, _bfs, blocks, girth
+from .invariants import _indices, _straddled, blocks_all_complete, index_report
+
+# Nothing here calls apsp; perfbench/child.py spans it on this module when
+# it traces a run.
+from .graphs import apsp  # noqa: F401
 
 
 def _name(g: Graph) -> str:
@@ -134,49 +141,24 @@ class LemmaReport(NamedTuple):
         }
 
 
-def _cycle_pairs_ok(g: Graph, dm) -> bool:
-    """Slack lower bounds for pairs on a shortest cycle.
+def _cycle_pairs_ok(g: Graph, cycle: tuple[int, ...]) -> bool:
+    """Slack lower bounds for pairs on a shortest cycle, given as its
+    vertex sequence.
 
     On an even shortest cycle every pair must have pi at least its cycle
     distance; on an odd one, pairs at cycle distance 2 or more must have
-    pi at least 1.
+    pi at least 1.  pi is read as invariants.pi reads it, from the BFS
+    rows of the cycle's vertices only.
     """
-    info = girth(g)
-    if info.length is None:
-        return True
-    c = info.witness
-    k = len(c)
+    k = len(cycle)
+    rows = [_bfs(g, (v,))[0] for v in cycle]
     for i in range(k):
         for j in range(i + 1, k):
             d_c = min(j - i, k - (j - i))
-            slack = pi(g, dm, c[i], c[j]).pi
-            if k % 2 == 0:
-                if slack < d_c:
-                    return False
-            elif d_c >= 2 and slack < 1:
+            need = d_c if k % 2 == 0 else int(d_c >= 2)
+            if need and len(_straddled(g, rows[i], rows[j])) - rows[i][cycle[j]] < need:
                 return False
     return True
-
-
-def _edge_pass(g: Graph, dm) -> tuple[int, int, int]:
-    """(Sz, n_0 total, untied) from one pass over the edges.
-
-    For each edge uv, n_u and n_v count the vertices strictly closer to u
-    and to v, and the other n_0 are tied; Sz sums n_u * n_v.  untied is
-    the bitmask of the vertices tied on no edge.
-    """
-    n = g.n
-    bits = [1 << w for w in range(n)]
-    sz = n0 = tied = 0
-    for a, b in g.edges:
-        da, db = dm[a], dm[b]
-        n_a = sum(map(lt, da, db))
-        n_b = sum(map(lt, db, da))
-        sz += n_a * n_b
-        if n_a + n_b < n:
-            n0 += n - n_a - n_b
-            tied |= sum(compress(bits, map(eq, da, db)))
-    return sz, n0, ((1 << n) - 1) ^ tied
 
 
 def _block_iff_ok(g: Graph, w: int, sz: int) -> bool:
@@ -204,10 +186,8 @@ def verify_lemmas(n: int) -> LemmaReport:
     size = 0
     for g in enumerate_connected(UniverseFilter(n)):
         size += 1
-        dm = apsp(g)
-        sz, n0, untied = _edge_pass(g, dm)
-        w = sum(map(sum, dm.d)) // 2
-        if not _cycle_pairs_ok(g, dm):
+        w, sz, n0, untied = _indices(g)[:4]
+        if not _cycle_pairs_ok(g, girth(g).witness):
             cycle_bad.append(_name(g))
         if not _block_iff_ok(g, w, sz):
             block_bad.append(_name(g))

@@ -102,6 +102,21 @@ def szeged_via_mu_oracle(d, edges):
                for u, v in edges for x, y in pairs_rowmajor(len(d)))
 
 
+def cycle_pairs_oracle(d, edges, cycle):
+    """The lemma suite's slack bounds on the pairs of a cycle, a vertex
+    sequence, with pi from mu_oracle: on an even cycle every pair needs pi
+    at least its distance along the cycle, on an odd one every pair at
+    distance 2 or more along it needs pi at least 1."""
+    k = len(cycle)
+    for i, j in pairs_rowmajor(k):
+        x, y = cycle[i], cycle[j]
+        slack = sum(mu_oracle(d, x, y, u, v) for u, v in edges) - d[x][y]
+        along = min(j - i, k - j + i)
+        if slack < (along if k % 2 == 0 else min(along - 1, 1)):
+            return False
+    return True
+
+
 def is_isometric_cycle(d, cycle):
     """True iff distances along the cycle, a vertex sequence, equal d.
 

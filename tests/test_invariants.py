@@ -1,7 +1,9 @@
 """Distance-based indices, edge partitions, and the pair slack pi.
 
-The package computes the indices by index_report only; the edge-partition
-and mu formulas are the referees of tests/oracles.py, fed apsp rows.
+The package computes the indices in one sweep and edge pass,
+invariants._indices, which index_report packs and the lemma suite reads;
+the edge-partition and mu formulas are the referees of tests/oracles.py,
+fed apsp rows.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 import oracles
 from szeged import (
     Disconnected,
+    GraphError,
     SamePair,
     TooLarge,
     TreeSpec,
@@ -36,8 +39,7 @@ from szeged import (
     pi,
     relabel,
 )
-from szeged.invariants import INDEX_MAX_N
-from szeged.verify import _edge_pass
+from szeged.invariants import INDEX_MAX_N, _indices
 
 PAW = [(0, 1), (0, 2), (1, 2), (0, 3)]
 
@@ -194,6 +196,26 @@ class TestPi:
         g = build_graph(4, [(0, 1), (2, 3)])
         with pytest.raises(VertexOutOfRange):
             pi(g, apsp(g), 4, 4)
+        with pytest.raises(VertexOutOfRange):
+            pi(g, apsp(cycle_graph(3)), 4, 4)
+
+    @pytest.mark.parametrize("n,other,x,y,want", [
+        # With the 4-cycle's matrix, the 5-cycle's pair would read past its rows.
+        (5, 4, 0, 1, 0),
+        # With the 5-cycle's, the 4-cycle's opposite pair would get pi 1, not 2.
+        (4, 5, 0, 2, 2),
+    ])
+    def test_matrix_of_another_order_rejected(self, n, other, x, y, want):
+        g = cycle_graph(n)
+        assert pi(g, apsp(g), x, y).pi == want
+        with pytest.raises(GraphError) as info:
+            pi(g, apsp(cycle_graph(other)), x, y)
+        assert info.type is GraphError
+
+    def test_order_is_checked_before_connectivity(self):
+        with pytest.raises(GraphError) as info:
+            pi(cycle_graph(4), apsp(build_graph(5, [])), 0, 0)
+        assert info.type is GraphError
 
 
 def random_graph_of_kind(rng, kind, max_n=10):
@@ -273,17 +295,16 @@ class TestDualFormula:
 
 
 class TestNZeroSum:
-    """The tie total of the lemma suite's edge pass."""
+    """The tie total of the edge pass that the lemma suite reads."""
 
     def test_examples(self):
-        assert _edge_pass(cycle_graph(5), apsp(cycle_graph(5)))[1] == 5
-        assert _edge_pass(cycle_graph(4), apsp(cycle_graph(4)))[1] == 0
-        g = build_graph(4, PAW)
-        assert _edge_pass(g, apsp(g))[1] == 4
+        assert _indices(cycle_graph(5))[2] == 5
+        assert _indices(cycle_graph(4))[2] == 0
+        assert _indices(build_graph(4, PAW))[2] == 4
 
     def test_bipartite_means_zero(self):
         for g in small_connected(6, min_n=2):
-            assert (_edge_pass(g, apsp(g))[1] == 0) == bool(is_bipartite(g))
+            assert (_indices(g)[2] == 0) == bool(is_bipartite(g))
 
 
 class TestOrderingAndEquality:
@@ -490,18 +511,17 @@ class TestDisconnectedRejected:
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_partition_identity_random(seed):
-    # Every edge splits the vertices in three, and the lemma suite's edge
-    # pass totals the splits as the referee does.
+    # Every edge splits the vertices in three, and the edge pass that the
+    # lemma suite reads totals the splits as the referee does.
     rng = random.Random(seed)
     n, edges = oracles.random_connected_graph(rng, max_n=12)
     g = build_graph(n, edges)
-    dm = apsp(g)
-    d = dm.d
+    d = apsp(g).d
     for e in g.edges:
         assert sum(oracles.edge_split(d, *e)) == n
-    assert _edge_pass(g, dm) == (oracles.szeged_oracle(d, g.edges),
-                                 oracles.tie_total_oracle(d, g.edges),
-                                 oracles.untied_oracle(d, g.edges))
+    assert _indices(g)[1:4] == (oracles.szeged_oracle(d, g.edges),
+                                oracles.tie_total_oracle(d, g.edges),
+                                oracles.untied_oracle(d, g.edges))
 
 
 @settings(max_examples=60, deadline=None)

@@ -24,13 +24,16 @@ from szeged import (
     cycle_graph,
     cycle_with_tree,
     enumerate_connected,
+    girth,
     parse_graph6,
     path_graph,
+    pi,
     universe_filter,
     verify_lemmas,
     verify_theorem,
 )
 from szeged.extremal import theorem_bound
+from szeged.invariants import _indices
 
 
 def all_tree_specs(size):
@@ -186,44 +189,45 @@ class TestLemmas:
         json.dumps(d)
 
 
-def lemma_values(g, dm):
-    """What verify_lemmas hands the checks for g with distances dm: W from
-    the row sums, and Sz, the tie total and the untied mask from the edge
-    pass."""
-    sz, n0, untied = verify_module._edge_pass(g, dm)
-    return sum(map(sum, dm.d)) // 2, sz, n0, untied
-
-
 class TestLemmaChecks:
-    """Each check reads the distance matrix it is given: with the matrix
-    of another graph on the same vertices, chosen below, it fails."""
+    """Each check reads only the values it is given: fed values that break
+    its rule, it fails."""
 
     PAW = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
-    # The star with centre 3, and the path 0-3-2-1 on the same vertices.
     STAR = build_graph(4, [(0, 3), (1, 3), (2, 3)])
-    PATH = build_graph(4, [(0, 3), (2, 3), (1, 2)])
+    # The 4-cycle 0-1-2-3 with the chord 0-2: 0-1-2-3 is a cycle of it,
+    # but not a shortest one.
+    DIAMOND = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
 
     def test_matching_distances_pass(self):
-        for g in (self.PAW, self.STAR, self.PATH, cycle_graph(4), complete_graph(4)):
-            dm = apsp(g)
-            w, sz, n0, untied = lemma_values(g, dm)
-            assert verify_module._cycle_pairs_ok(g, dm)
+        for g in (self.PAW, self.STAR, self.DIAMOND, path_graph(4),
+                  cycle_graph(4), complete_graph(4)):
+            w, sz, n0, untied = _indices(g)[:4]
+            assert verify_module._cycle_pairs_ok(g, girth(g).witness)
             assert verify_module._block_iff_ok(g, w, sz)
             assert verify_module._equidistant_ok(g.n, n0, untied)
 
-    def test_block_iff_reads_dm(self):
-        # The paw's blocks are complete, but with the path's distances Sz != W.
-        w, sz, _, _ = lemma_values(self.PAW, apsp(path_graph(4)))
+    def test_cycle_pairs_need_a_shortest_cycle(self):
+        # On the diamond's 4-cycle the pair (0, 2) straddles only the chord:
+        # pi is 1 - 1 = 0, below its cycle distance 2.
+        assert pi(self.DIAMOND, apsp(self.DIAMOND), 0, 2).pi == 0
+        assert not verify_module._cycle_pairs_ok(self.DIAMOND, (0, 1, 2, 3))
+
+    def test_block_iff_reads_w_and_sz(self):
+        # The paw's blocks are complete, but the 4-cycle's Sz is not its W;
+        # the 4-cycle's blocks are not, but K4's Sz is its W.
+        w, sz = _indices(cycle_graph(4))[:2]
+        assert sz != w
         assert not verify_module._block_iff_ok(self.PAW, w, sz)
+        w, sz = _indices(complete_graph(4))[:2]
+        assert not verify_module._block_iff_ok(cycle_graph(4), w, sz)
 
-    def test_cycle_pairs_read_dm(self):
-        # With K4's distances no pair of the 4-cycle has positive slack.
-        assert not verify_module._cycle_pairs_ok(cycle_graph(4), apsp(complete_graph(4)))
-
-    def test_equidistant_reads_dm(self):
-        # With the path's distances some star edge has a tie, yet fewer than n.
-        _, _, n0, untied = lemma_values(self.STAR, apsp(self.PATH))
-        assert not verify_module._equidistant_ok(self.STAR.n, n0, untied)
+    def test_equidistant_reads_the_ties_and_the_cover(self):
+        _, _, n0, untied = _indices(self.PAW)[:4]
+        assert (n0, untied) == (4, 0)
+        # A nonzero tie total below n, or a vertex tied on no edge, fails.
+        assert not verify_module._equidistant_ok(self.PAW.n + 1, n0, untied)
+        assert not verify_module._equidistant_ok(self.PAW.n, n0, 0b1000)
 
     def test_lemmas_do_not_use_index_report(self, monkeypatch):
         def refuse(g):
@@ -233,19 +237,62 @@ class TestLemmaChecks:
         r = verify_lemmas(6)
         assert r.ok and r.universe_size == 112
 
+    def test_lemmas_do_not_use_apsp(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("verify_lemmas called apsp")
+
+        monkeypatch.setattr(verify_module, "apsp", refuse)
+        r = verify_lemmas(6)
+        assert r.ok and r.universe_size == 112
+
 
 class TestEdgePass:
-    """The lemma suite's one pass over the edges against the referee's
-    formulas, fed the same apsp rows."""
+    """W, Sz, the tie total and the untied cover that the lemma suite reads
+    from invariants._indices, against the referee's formulas fed apsp rows."""
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_every_connected_class(self, n):
         for g in enumerate_connected(UniverseFilter(n)):
-            dm = apsp(g)
-            assert verify_module._edge_pass(g, dm) == (
-                oracles.szeged_oracle(dm.d, g.edges),
-                oracles.tie_total_oracle(dm.d, g.edges),
-                oracles.untied_oracle(dm.d, g.edges))
+            d = apsp(g).d
+            assert _indices(g)[:4] == (
+                oracles.wiener_oracle(d),
+                oracles.szeged_oracle(d, g.edges),
+                oracles.tie_total_oracle(d, g.edges),
+                oracles.untied_oracle(d, g.edges))
+
+
+def cycle_rings(n, edges):
+    """Every cycle of the graph as a vertex sequence, in every rotation and
+    both directions."""
+    edge_set = {frozenset(e) for e in edges}
+    for k in range(3, n + 1):
+        for ring in itertools.permutations(range(n), k):
+            if all(frozenset((ring[i - 1], ring[i])) in edge_set for i in range(k)):
+                yield ring
+
+
+class TestCyclePairs:
+    """The cycle check against the referee's mu formula, fed apsp rows."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_shortest_cycles(self, n):
+        for g in enumerate_connected(UniverseFilter(n)):
+            c = girth(g).witness
+            assert verify_module._cycle_pairs_ok(g, c)
+            assert oracles.cycle_pairs_oracle(apsp(g).d, g.edges, c)
+
+    @pytest.mark.parametrize("n", range(4, 7))
+    def test_every_cycle(self, n):
+        # Cycles that are not shortest ones break the bounds on some graphs,
+        # and the check must say so for exactly the same sequences.
+        broken = 0
+        for g in enumerate_connected(UniverseFilter(n)):
+            d = apsp(g).d
+            for ring in cycle_rings(n, g.edges):
+                want = oracles.cycle_pairs_oracle(d, g.edges, ring)
+                assert verify_module._cycle_pairs_ok(g, ring) == want
+                broken += not want
+        assert broken > 0
 
 
 class TestNaming:
