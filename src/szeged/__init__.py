@@ -6,7 +6,7 @@ and exhaustive verification of those bounds over all small connected
 graphs up to isomorphism.
 """
 
-from .enumeration import UniverseFilter, enumerate_connected, graph_from_code
+from .enumeration import UniverseFilter, enumerate_connected
 from .errors import (
     Disconnected,
     DuplicateEdge,

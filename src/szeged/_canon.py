@@ -7,10 +7,10 @@ code under that labeling.
 
 Two canonizers give two canonical codes.  min_code finds the lex-min code,
 the smallest over all n! relabelings, by a prefix search; it names graphs.
-min_codes canonizes enumeration's levels by individualization-refinement:
-its code is the smallest over the leaves of a search tree that every
-labeling of a graph grows alike, so it is canonical and complete but in
-general not the lex-min code.  The same search, through automorphisms,
+min_codes canonizes the tied rows of enumeration's levels by
+individualization-refinement: its code is the smallest over the leaves
+of a search tree that every labeling of a graph grows alike, so it is
+canonical and complete but in general not the lex-min code.  The same search, through automorphisms,
 gives generators of a graph's automorphism group.
 """
 
@@ -48,17 +48,6 @@ def code_slots(code: int, n: int) -> list[int]:
 def pair_list(n: int) -> tuple[tuple[int, int], ...]:
     """All pairs (i, j), i < j, in column order."""
     return tuple((i, j) for j in range(n) for i in range(j))
-
-
-def code_pairs(code: int, n: int) -> list[tuple[int, int]]:
-    """Pairs (i, j) of the set bits of an m-bit code, last column first."""
-    pairs, m = pair_list(n), num_pairs(n)
-    out = []
-    while code:
-        low = code & -code
-        code ^= low
-        out.append(pairs[m - low.bit_length()])
-    return out
 
 
 def min_code(nbrs: Sequence[int]) -> int:

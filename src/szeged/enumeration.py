@@ -3,13 +3,15 @@
 The search grows graphs one vertex at a time over the adjacency upper
 triangle in column order: vertex k's column is a nonempty neighbor subset
 of the k vertices before it, added to a connected parent, so every level
-holds connected graphs only, deduplicated by the canonical code of
-_canon.min_codes.  Graphs are neighbour bitmasks on Python ints
-throughout.  Of the columns a parent's automorphisms map onto each
-other only one is added.  Hereditary constraints (bipartite, no short
-cycles) prune columns by the parents' distances in _children_rows; the
-non-hereditary filters (nonbipartite, edge count) run on the last level's
-representatives.
+holds connected graphs only, one per class.  Graphs are neighbour
+bitmasks on Python ints throughout.  Of the columns a parent's
+automorphisms map onto each other only one is added, and a child is
+kept only if its new vertex is a non-cut vertex of largest key: as
+built if it is the only one, and otherwise deduplicated by the
+canonical code of _canon.min_codes.  Hereditary constraints (bipartite,
+no short cycles) prune columns by the parents' distances in
+_children_rows; the non-hereditary filters (nonbipartite, edge count)
+run on the last level's representatives.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import _canon
-from .errors import GraphError, TooLarge
+from .errors import TooLarge
 from .graphs import Graph, girth, is_bipartite, is_connected
 
 MAX_N = 8
@@ -82,26 +84,10 @@ def check_scope(filt: UniverseFilter) -> None:
         raise TooLarge(f"enumeration capped at n = {limit} for this filter")
 
 
-def graph_from_code(n: int, code: int) -> Graph:
-    """Graph in canonical labeling from its m-bit canonical code."""
-    if n < 1:
-        raise GraphError(f"vertex count must be positive, got {n}")
-    return Graph(n, tuple(sorted(_canon.code_pairs(code, n))))
-
-
 @lru_cache(maxsize=None)
 def _members(n: int) -> tuple[tuple[int, ...], ...]:
     """The vertices of every bitmask over n vertices, lowest first, by mask."""
     return tuple(tuple(v for v in range(n) if mask >> v & 1) for mask in range(1 << n))
-
-
-def _code_nbrs(code: int, n: int) -> list[int]:
-    """Neighbour bitmasks of the graph with this m-bit code."""
-    nbrs = [0] * n
-    for i, j in _canon.code_pairs(code, n):
-        nbrs[i] |= 1 << j
-        nbrs[j] |= 1 << i
-    return nbrs
 
 
 def _connected(nbrs, rest: int, members) -> bool:
@@ -116,7 +102,7 @@ def _connected(nbrs, rest: int, members) -> bool:
     return reach == rest
 
 
-def _allowed_columns(nbrs: list[int], lane: tuple[int, bool]) -> list[bool]:
+def _allowed_columns(nbrs: tuple[int, ...], lane: tuple[int, bool]) -> list[bool]:
     """Per column (a bitmask of the parent's vertices), whether the lane allows it.
 
     Joining the new vertex to two old ones at distance d closes a cycle of
@@ -158,10 +144,11 @@ def _columns_by_size(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, by_size))
 
 
-def _children_rows(parent_codes, child_n: int, lane: tuple[int, bool]) -> list[tuple[int, ...]]:
-    """Neighbour bitmasks of the one-vertex extensions the lane permits and
-    the parent does not rule out as deletion candidates, one per orbit of
-    the parent's automorphism group on the columns.
+def _children_rows(parents, child_n: int, lane: tuple[int, bool]) -> list[tuple[int, ...]]:
+    """Neighbour bitmasks of the one-vertex extensions of the parents (each
+    its neighbour bitmasks) that the lane permits and the parent does not
+    rule out as deletion candidates, one per orbit of the parent's
+    automorphism group on the columns.
 
     The new vertex k = child_n - 1 is joined to a nonempty column of the
     parent's vertices.  A column _allowed_columns refuses is never built.
@@ -182,8 +169,7 @@ def _children_rows(parent_codes, child_n: int, lane: tuple[int, bool]) -> list[t
     everyone = new - 1
     by_size, members = _columns_by_size(k), _members(k)
     rows = []
-    for code in parent_codes:
-        nbrs = _code_nbrs(code, k)
+    for nbrs in parents:
         allowed = _allowed_columns(nbrs, lane) if constrained else None
         # Per generator, the bit of each vertex's image.
         gens = [[1 << w for w in image] for image in _canon.automorphisms(nbrs)]
@@ -209,7 +195,7 @@ def _children_rows(parent_codes, child_n: int, lane: tuple[int, bool]) -> list[t
                             if d not in seen:
                                 seen.add(d)
                                 orbit.append(d)
-                child = nbrs.copy()
+                child = list(nbrs)
                 for v in members[col]:
                     child[v] |= new
                 child.append(col)
@@ -217,36 +203,42 @@ def _children_rows(parent_codes, child_n: int, lane: tuple[int, bool]) -> list[t
     return rows
 
 
-def _deletion_candidates(rows, n: int) -> list[bool]:
-    """Whether the new vertex n - 1 of each child (neighbour bitmasks) is a
-    deletion candidate.
+def _deletion_candidates(rows, n: int) -> list[bool | None]:
+    """Per child (neighbour bitmasks), None unless its new vertex n - 1 is a
+    deletion candidate, else whether the candidate is tied.
 
     A vertex's key is (degree, sum of its neighbours' degrees).  The new
     vertex is a candidate unless some non-cut vertex (one whose removal
-    leaves the graph connected) has a larger key.  The new vertex is
-    itself non-cut, since its parent is connected.  Only the vertices
-    that beat the new one are tested for being non-cut, by a bitmask
-    closure of G - w.
+    leaves the graph connected) has a larger key, and tied if another
+    non-cut vertex has the same key.  The new vertex is itself non-cut,
+    since its parent is connected.  Only the vertices whose key is at
+    least the new one's are tested for being non-cut, by a bitmask
+    closure of G - w, and no more of equal key once one is found.
     """
     v, everyone, members = n - 1, (1 << n) - 1, _members(n)
-    mask = []
+    verdicts = []
     for nbrs in rows:
         deg = [b.bit_count() for b in nbrs]
         dv, sv = deg[v], None
-        keep = True
+        tie = False
         for w in range(v):
             if deg[w] < dv:
                 continue
-            if deg[w] == dv:
+            beats = deg[w] > dv
+            if not beats:
                 if sv is None:
                     sv = sum([deg[u] for u in members[nbrs[v]]])
-                if sum([deg[u] for u in members[nbrs[w]]]) <= sv:
+                sw = sum([deg[u] for u in members[nbrs[w]]])
+                if sw < sv or sw == sv and tie:
                     continue
+                beats = sw > sv
             if _connected(nbrs, everyone ^ 1 << w, members):
-                keep = False
-                break
-        mask.append(keep)
-    return mask
+                if beats:
+                    tie = None
+                    break
+                tie = True
+        verdicts.append(tie)
+    return verdicts
 
 
 @lru_cache(maxsize=None)
@@ -264,40 +256,53 @@ def _bit_rows(rows, n: int) -> list[bytes]:
 
 
 @lru_cache(maxsize=None)
-def _level_codes(n: int, lane: tuple[int, bool]) -> tuple[int, ...]:
-    """Level codes, sorted, of the connected lane-surviving n-vertex graphs.
-
-    A level code is the canonical code of _canon.min_codes, by
-    individualization-refinement: equal iff isomorphic, but in general not
-    the lex-min code that canonical_form names graphs by.
+def _level(n: int, lane: tuple[int, bool]) -> tuple[tuple[int, ...], ...]:
+    """Neighbour bitmasks of one graph per isomorphism class of the
+    connected lane-surviving n-vertex graphs.
 
     Every connected graph has a vertex whose removal leaves it connected
     (a leaf of a spanning tree), and the graph left keeps girth and
     bipartiteness: so each graph of the level is a connected parent of
-    the level below plus one nonempty column the lane allows.  The rows
-    are distinct (distinct parents times distinct columns).
+    the level below plus one nonempty column the lane allows.
 
-    Only rows whose new vertex is a deletion candidate are canonized
-    (McKay's canonical deletion, J. Algorithms 26, 1998).  No class is
-    lost: take any graph G of the level and a non-cut vertex v* of
-    largest key.  G - v* is connected and stays in the lane, so its
-    level code is in the level below, and the lane's conflict rule is
-    exact.  The row adding v*'s neighbourhood to it is G, and its new
-    vertex has v*'s key, which no non-cut vertex beats: so the column
-    bound, which skips only rows whose new vertex a non-cut vertex beats,
-    would build the row, and it survives the mask.  If its column is not
-    the one built for its orbit under the parent's automorphisms, an
-    automorphism maps it onto the built column; fixing the new vertex,
-    that automorphism maps G onto the built child, new vertex onto new
-    vertex.  The lane's rule, the column bound and the mask depend only
-    on the child and its new vertex, so the built row passes all three
-    and is G up to isomorphism.
+    Only rows whose new vertex is a deletion candidate are kept (McKay's
+    canonical deletion, J. Algorithms 26, 1998).  No class is lost: take
+    any graph G of the level and a non-cut vertex v* of largest key.
+    G - v* is connected and stays in the lane, so a graph isomorphic to
+    it is in the level below, and the lane's conflict rule is exact.  The
+    row adding the image of v*'s neighbourhood to it is G up to
+    isomorphism, and its new vertex has v*'s key, which no non-cut vertex
+    beats: so the column bound, which skips only rows whose new vertex a
+    non-cut vertex beats, would build the row, and it survives the mask.
+    If its column is not the one built for its orbit under the parent's
+    automorphisms, an automorphism maps it onto the built column; fixing
+    the new vertex, that automorphism maps G onto the built child, new
+    vertex onto new vertex.  The lane's rule, the column bound and the
+    mask depend only on the child and its new vertex, so the built row
+    passes all three and is G up to isomorphism.
+
+    A kept row is untied when its new vertex is the only non-cut vertex
+    of largest key, and is then kept as built, with no search; only the
+    tied rows are canonized by _canon.min_codes, one kept per code.  No
+    class is kept twice.  The number of non-cut vertices of largest key
+    is an isomorphism invariant, so no tied row is isomorphic to an
+    untied one, and an isomorphism between two untied rows maps new
+    vertex onto new vertex.  It then restricts to an isomorphism between
+    their parents, which are one parent since the level below holds one
+    graph per class, and is an automorphism of it that maps one built
+    column onto the other: the same column, as one is built per orbit.
     """
     if n == 1:
-        return (0,)
-    children = _children_rows(_level_codes(n - 1, lane), n, lane)
-    kept = [nbrs for nbrs, keep in zip(children, _deletion_candidates(children, n)) if keep]
-    return tuple(sorted(set(_canon.min_codes(_bit_rows(kept, n), n))))
+        return ((0,),)
+    children = _children_rows(_level(n - 1, lane), n, lane)
+    rows, tied = [], []
+    for nbrs, tie in zip(children, _deletion_candidates(children, n)):
+        if tie is not None:
+            (tied if tie else rows).append(nbrs)
+    by_code = {}
+    for nbrs, code in zip(tied, _canon.min_codes(_bit_rows(tied, n), n)):
+        by_code.setdefault(code, nbrs)
+    return (*rows, *by_code.values())
 
 
 def _passes(filt: UniverseFilter, g: Graph) -> bool:
@@ -312,13 +317,14 @@ def _passes(filt: UniverseFilter, g: Graph) -> bool:
 def enumerate_connected(filt: UniverseFilter):
     """Yield one representative per isomorphism class matching the filter.
 
-    Graphs come out in the labeling of their level code, the canonical
-    code of _canon.min_codes, ordered by it, so two runs always agree.
-    That labeling is canonical but not the lex-min one canonical_form
-    names graphs by.
+    Graphs come out in the labeling they were built in, which is not a
+    canonical one, in an order fixed by the build, so two runs always
+    agree.
     """
     check_scope(filt)
-    for code in _level_codes(filt.n, _lane(filt)):
-        g = graph_from_code(filt.n, code)
+    n = filt.n
+    members = _members(n)
+    for nbrs in _level(n, _lane(filt)):
+        g = Graph(n, tuple((u, v) for u in range(n) for v in members[nbrs[u]] if v > u))
         if _passes(filt, g):
             yield g

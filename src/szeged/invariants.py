@@ -128,7 +128,8 @@ def _sweep(g: Graph):
     distance k - 1 from a source at distance k from it.  The step to depth
     k tests depth k - 1 for the odd case and depth k for the even one, so
     once the odd test has fired no even cycle found later is shorter:
-    the even test runs only while neither has fired.  Forests skip both.
+    the even test runs only while neither has fired.  A forest peels to
+    one vertex per tree, with no core edge, so neither test can fire.
     Peeling changes neither level: a peeled source fires a test at depth
     k only if its root fired it at depth k - h(s), and a peeled target,
     all of whose edges are bridges, fires neither.
@@ -179,7 +180,6 @@ def _sweep(g: Graph):
         unreached[v] = full ^ front[v]
         odd[v] = 0
     trans = [0] * n
-    cyclic = g.m >= n
     odd_level = even_level = None
     # A root whose neighbours were all peeled has no core edge, but takes
     # arrivals.
@@ -187,7 +187,7 @@ def _sweep(g: Graph):
     k = 0
     while active:
         k += 1
-        test_odd = cyclic and odd_level is None
+        test_odd = odd_level is None
         test_even = test_odd and even_level is None
         depth_is_odd = k & 1
         nxt = [0] * n

@@ -32,9 +32,9 @@ from .graphs import apsp  # noqa: F401
 def _name(g: Graph) -> str:
     """graph6 name of a graph a report lists: its lex-min canonical form.
 
-    Enumerated graphs come in the labeling of their level code, which is
-    canonical but not lex-min, so names cannot be read off it; only the
-    few graphs a report lists are named, by canonical_form's prefix search.
+    Enumerated graphs come in the labeling they were built in, which is
+    not a canonical one, so names cannot be read off it; only the few
+    graphs a report lists are named, by canonical_form's prefix search.
     """
     return canonical_form(g).decode("ascii")
 

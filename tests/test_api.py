@@ -16,7 +16,7 @@ PUBLIC = [
     "build_graph", "c5_two_trees", "canonical_form", "complete_graph",
     "cycle_graph", "cycle_with_tree", "emit_edgelist", "emit_graph6",
     "enumerate_connected", "enumeration", "errors", "extremal", "formats",
-    "girth", "graph_from_code", "graphs", "index_report", "invariants",
+    "girth", "graphs", "index_report", "invariants",
     "is_bipartite", "is_connected", "is_equality_thm1", "is_equality_thm2",
     "is_equality_thm3", "odd_girth", "parse_edgelist", "parse_graph6",
     "path_graph", "pi", "relabel", "universe_filter", "verify",

@@ -23,7 +23,6 @@ from szeged import (
     canonical_form,
     enumerate_connected,
     girth,
-    graph_from_code,
     is_bipartite,
     is_connected,
     relabel,
@@ -162,15 +161,16 @@ class TestSoundness:
         got = universe(filt)
         assert len({canonical_form(g) for g in got}) == len(got)
 
-    def test_yields_are_canonically_labeled(self):
-        # A yield is the refined canonical labeling of every relabeling of
-        # it, and its name is still the lex-min one.
+    def test_yield_names_are_lex_min(self):
+        # Yields come in the labeling they were built in, not a canonical
+        # one; each has its class's refined code in every relabeling, and
+        # its name is still the lex-min one.
         rng = random.Random(6)
         for g in universe(UniverseFilter(6)):
             perm = list(range(6))
             rng.shuffle(perm)
-            code = _canon.min_codes([adjacency_bits(relabel(g, perm))], 6)[0]
-            assert graph_from_code(6, code) == g
+            assert len(set(_canon.min_codes([adjacency_bits(g),
+                                             adjacency_bits(relabel(g, perm))], 6))) == 1
             assert canonical_form(g) == oracles.lexmin_graph6(6, g.edges)
 
     def test_deterministic(self):
@@ -178,22 +178,33 @@ class TestSoundness:
         assert universe(filt) == universe(filt)
 
 
+def bit_row(nbrs):
+    """Column-order bit row, as a tuple, of a graph given by neighbour masks."""
+    return tuple(nbrs[j] >> i & 1 for j in range(1, len(nbrs)) for i in range(j))
+
+
+def mask_edges(nbrs):
+    """Edges (i, j), i < j, in column order, of a graph given by neighbour masks."""
+    return [(i, j) for j in range(1, len(nbrs)) for i in range(j) if nbrs[j] >> i & 1]
+
+
+def level_codes(n, lane):
+    """The min_codes code of each row of a level, in the level's order."""
+    return _canon.min_codes([bit_row(nbrs) for nbrs in enumeration._level(n, lane)], n)
+
+
 def test_bipartite_lane_keeps_exactly_the_bipartite_partials():
     # Levels hold the connected graphs the lane's pruning lets through;
     # this checks the pruning itself, before any final filter runs.
     for k in range(1, 8):
-        every = enumeration._level_codes(k, (0, False))
-        want = tuple(c for c in every
-                     if is_bipartite(graph_from_code(k, c)))
-        assert enumeration._level_codes(k, (0, True)) == want
+        want = {code for nbrs, code in zip(enumeration._level(k, (0, False)),
+                                           level_codes(k, (0, False)))
+                if oracles.bipartite_2color(k, mask_edges(nbrs))}
+        got = level_codes(k, (0, True))
+        assert len(got) == len(want) and set(got) == want
 
 
 ALL_LANES = [(0, False), (0, True), (4, False), (5, False), (6, False), (6, True)]
-
-
-def bit_row(nbrs):
-    """Column-order bit row, as a tuple, of a graph given by neighbour masks."""
-    return tuple(nbrs[j] >> i & 1 for j in range(1, len(nbrs)) for i in range(j))
 
 
 def row_nbrs(row, n):
@@ -208,16 +219,18 @@ def row_nbrs(row, n):
 
 @pytest.mark.parametrize("lane", ALL_LANES)
 def test_children_rows_are_distinct(lane):
-    # Levels are canonized without deduplicating the labeled rows first.
+    # Untied rows are kept, and tied ones canonized, without deduplicating
+    # the labeled rows first.
     for k in range(1, 8):
-        parents = enumeration._level_codes(k, lane)
+        parents = enumeration._level(k, lane)
         rows = enumeration._children_rows(parents, k + 1, lane)
         assert len(set(rows)) == len(rows)
 
 
-def referee_children(parent_codes, k, lane):
+def referee_children(parents, k, lane):
     """Every (parent, nonempty column) row whose child graph stays in the lane,
-    mapped to whether the parent-side column bound skips it.
+    mapped to whether the parent-side column bound skips it; parents are
+    neighbour masks.
 
     Each child is built as a Graph and judged by girth and is_bipartite.
     The bound: a column is skipped if it is smaller than the largest degree
@@ -227,8 +240,8 @@ def referee_children(parent_codes, k, lane):
     girth_k, bip = lane
     m = _canon.num_pairs(k)
     out = {}
-    for code in parent_codes:
-        parent = _canon.code_slots(code, k)
+    for nbrs in parents:
+        parent = [s for s, bit in enumerate(bit_row(nbrs)) if bit]
         edges = [oracles.pairs_colmajor(k)[s] for s in parent]
         relabeled = {w: [(u - (u > w), v - (v > w)) for u, v in edges if w not in (u, v)]
                      for w in range(k)}
@@ -262,20 +275,14 @@ def vf2_automorphisms(n, edges):
 
 
 @functools.lru_cache(maxsize=None)
-def parent_automorphisms(code, k):
-    """vf2_automorphisms of the parent with this m-bit code."""
-    return vf2_automorphisms(k, [oracles.pairs_colmajor(k)[s] for s in _canon.code_slots(code, k)])
+def parent_automorphisms(nbrs):
+    """vf2_automorphisms of the parent with these neighbour masks."""
+    return vf2_automorphisms(len(nbrs), mask_edges(nbrs))
 
 
 def column_orbit(col, auts):
     """The images of a column (a bitmask of parent vertices) under auts."""
     return {sum(1 << a[v] for v in range(len(a)) if col >> v & 1) for a in auts}
-
-
-def parent_bits(code, k):
-    """Column-order bit row, as a tuple, of the parent with this m-bit code."""
-    m = _canon.num_pairs(k)
-    return tuple(code >> (m - 1 - s) & 1 for s in range(m))
 
 
 def row_column(row, k):
@@ -290,9 +297,9 @@ def built_orbits(parents, k, rows):
     columns = {}
     for nbrs in rows:
         columns.setdefault(bit_row(nbrs)[:m], []).append(nbrs[k])
-    return {parent_bits(code, k): [column_orbit(col, parent_automorphisms(code, k))
-                                   for col in columns.get(parent_bits(code, k), [])]
-            for code in parents}
+    return {bit_row(nbrs): [column_orbit(col, parent_automorphisms(nbrs))
+                            for col in columns.get(bit_row(nbrs), [])]
+            for nbrs in parents}
 
 
 @pytest.mark.parametrize("lane", ALL_LANES)
@@ -300,7 +307,7 @@ def test_children_rows_match_referee(lane):
     # Built rows are rows the bound keeps, and every row it keeps has its
     # column in the orbit of exactly one built column of its parent.
     for k in range(1, 7):
-        parents = enumeration._level_codes(k, lane)
+        parents = enumeration._level(k, lane)
         rows = enumeration._children_rows(parents, k + 1, lane)
         want = {row for row, skipped in referee_children(parents, k, lane).items()
                 if not skipped}
@@ -318,7 +325,7 @@ def test_rows_the_bound_skips_fail_the_mask(lane):
     # lane row outside the orbits of the built rows is a row the bound
     # skips, and _deletion_candidates would have dropped it too.
     for k in range(1, 8):
-        parents = enumeration._level_codes(k, lane)
+        parents = enumeration._level(k, lane)
         rows = enumeration._children_rows(parents, k + 1, lane)
         every = referee_children(parents, k, lane)
         assert set(map(bit_row, rows)) <= set(every)
@@ -326,22 +333,44 @@ def test_rows_the_bound_skips_fail_the_mask(lane):
         m = _canon.num_pairs(k)
         left = [row for row in every if row_column(row, k) not in covered[row[:m]]]
         assert all(every[row] for row in left)
-        assert not any(enumeration._deletion_candidates([row_nbrs(row, k + 1) for row in left],
-                                                        k + 1))
+        assert all(tie is None for tie in enumeration._deletion_candidates(
+            [row_nbrs(row, k + 1) for row in left], k + 1))
+
+
+# OEIS A001349: the connected graphs on n = 1..8 vertices.
+CONNECTED_CLASSES = [1, 1, 2, 6, 21, 112, 853, 11117]
+
+
+@pytest.mark.parametrize("lane", ALL_LANES)
+def test_level_holds_one_row_per_class(lane):
+    # No code deduplicates the untied rows, so each level is refereed
+    # whole, up to the lane's cap: its rows have pairwise distinct codes,
+    # and it has one per class.  The unrestricted lane is counted by
+    # A001349; any other lane's codes are those of every child the lane
+    # allows of the level below.
+    top = enumeration.MAX_N_PRUNED if lane[0] >= 5 else enumeration.MAX_N
+    for n in range(1, top + 1):
+        codes = level_codes(n, lane)
+        assert len(set(codes)) == len(codes)
+        if lane == (0, False):
+            assert len(codes) == CONNECTED_CLASSES[n - 1]
+        elif n > 1:
+            every = referee_children(enumeration._level(n - 1, lane), n - 1, lane)
+            assert set(codes) == set(_canon.min_codes(every, n))
 
 
 LANES = [(0, False), (0, True), (4, False), (5, False)]
 
 
 def child_rows(n, lane):
-    return enumeration._children_rows(enumeration._level_codes(n - 1, lane), n, lane)
+    return enumeration._children_rows(enumeration._level(n - 1, lane), n, lane)
 
 
 def kept_rows(n, lane):
-    """Bit rows of the children a level canonizes."""
+    """Bit rows of the children the mask keeps, tied or not."""
     rows = child_rows(n, lane)
-    return [bit_row(r) for r, keep in zip(rows, enumeration._deletion_candidates(rows, n))
-            if keep]
+    return [bit_row(r) for r, tie in zip(rows, enumeration._deletion_candidates(rows, n))
+            if tie is not None]
 
 
 class TestDeletionCandidates:
@@ -352,20 +381,21 @@ class TestDeletionCandidates:
         # girth-5 lanes are checked one level further.
         top = 8 if lane in ((0, True), (5, False)) else 7
         for n in range(2, top + 1):
-            every = list(referee_children(enumeration._level_codes(n - 1, lane), n - 1, lane))
+            every = list(referee_children(enumeration._level(n - 1, lane), n - 1, lane))
             assert (set(_canon.min_codes(kept_rows(n, lane), n))
                     == set(_canon.min_codes(every, n)))
 
     def test_mask_matches_networkx(self):
         # Key (degree, sum of neighbour degrees); the new vertex n - 1 is
-        # kept unless a vertex that is no articulation point beats it.
-        # Every child row the lane allows is judged, the bound's too.
+        # kept unless a vertex that is no articulation point beats it, and
+        # tied if another such vertex has its key.  Every child row the
+        # lane allows is judged, the bound's too.
         nx = pytest.importorskip("networkx")
         for n in range(2, 8):
-            parents = enumeration._level_codes(n - 1, (0, False))
+            parents = enumeration._level(n - 1, (0, False))
             rows = [row_nbrs(r, n) for r in referee_children(parents, n - 1, (0, False))]
             got = enumeration._deletion_candidates(rows, n)
-            for nbrs, kept in zip(rows, got):
+            for nbrs, tie in zip(rows, got):
                 h = nx.Graph()
                 h.add_nodes_from(range(n))
                 h.add_edges_from((u, v) for u in range(n) for v in range(u)
@@ -373,17 +403,23 @@ class TestDeletionCandidates:
                 deg = dict(h.degree())
                 key = {v: (deg[v], sum(deg[u] for u in h[v])) for v in h}
                 noncut = set(h) - set(nx.articulation_points(h))
-                assert kept == all(key[w] <= key[n - 1] for w in noncut)
+                kept = all(key[w] <= key[n - 1] for w in noncut)
+                assert (tie is not None) == kept
+                if kept:
+                    assert tie == (sum(key[w] == key[n - 1] for w in noncut) > 1)
 
     def test_rows_left_for_the_sweep(self):
-        counts = {(7, (0, False)): (2033, 905),
-                  (8, (0, True)): (371, 194),
-                  (8, (5, False)): (109, 52),
-                  (8, (0, False)): (30096, 12106)}
+        # (rows built, rows the mask keeps, kept rows that are tied); only
+        # the tied rows are canonized.
+        counts = {(7, (0, False)): (2033, 905, 448),
+                  (8, (0, True)): (371, 194, 138),
+                  (8, (5, False)): (109, 52, 43),
+                  (8, (0, False)): (30096, 12106, 4610)}
         for (n, lane), want in counts.items():
             rows = child_rows(n, lane)
-            kept = sum(enumeration._deletion_candidates(rows, n))
-            assert (len(rows), kept) == want
+            ties = enumeration._deletion_candidates(rows, n)
+            kept = sum(tie is not None for tie in ties)
+            assert (len(rows), kept, ties.count(True)) == want
 
 
 ATLAS_FILTERS = {
@@ -459,20 +495,6 @@ class TestScopeCaps:
             universe(UniverseFilter(10, bipartite="no", min_girth=5))
 
 
-class TestGraphFromCode:
-    def test_inverts_bit_packing(self):
-        for g in universe(UniverseFilter(5)):
-            code = int("".join(map(str, adjacency_bits(g))), 2)
-            assert graph_from_code(5, code) == g
-
-    def test_matches_slot_decoding_on_levels(self):
-        # Every connected graph on at most 8 vertices has its code in the
-        # unrestricted levels.
-        for n in range(1, 9):
-            for code in enumeration._level_codes(n, (0, False)):
-                assert graph_from_code(n, code) == graph_from_slots(n, _canon.code_slots(code, n))
-
-
 def naive_min_code(bits, n):
     """Smallest m-bit code over every relabeling, one permutation at a time."""
     pairs = [(i, j) for j in range(n) for i in range(j)]  # column order
@@ -526,7 +548,7 @@ class TestMinCodes:
         rows = np.stack([adjacency_bits(g), adjacency_bits(relabel(g, perm))])
         a, b = oracles.lexmin_codes(rows, n)
         assert a == b
-        back = graph_from_code(n, int(a))
+        back = graph_from_slots(n, _canon.code_slots(int(a), n))
         assert nx.is_isomorphic(*(nx.Graph(list(h.edges)) for h in (back, g)))
         assert back.n == g.n and back.m == g.m
 
@@ -604,7 +626,7 @@ def assert_refined_codes_canonical(graphs, n, rng, labelings=3):
         relabeled = [g] + [labeled(rng, n, g.edges) for _ in range(labelings - 1)]
         got = _canon.min_codes(bit_rows(relabeled, n), n)
         assert len(set(got)) == 1
-        back = graph_from_code(n, got[0])
+        back = graph_from_slots(n, _canon.code_slots(got[0], n))
         assert _canon.min_code(neighbour_masks(back)) == _canon.min_code(neighbour_masks(g))
         codes.append(got[0])
     lexmin = {_canon.min_code(neighbour_masks(g)) for g in graphs}
@@ -697,8 +719,19 @@ class TestAutomorphisms:
                 assert_generates_automorphisms(h.number_of_nodes(), h.edges)
 
     def test_level_seven(self):
-        for code in enumeration._level_codes(7, (0, False)):
-            assert_generates_automorphisms(7, graph_from_code(7, code).edges)
+        for nbrs in enumeration._level(7, (0, False)):
+            assert_generates_automorphisms(7, mask_edges(nbrs))
+
+    @pytest.mark.parametrize("lane", ALL_LANES[1:])
+    def test_every_parent_of_a_capped_lane(self, lane):
+        # An untied row is one per class only if the generators give all of
+        # Aut(parent), so every parent a lane extends up to its cap is
+        # checked in the labeling its level holds it: for thm1's lane the
+        # girth-5 level at n = 8, for thm2's the bipartite level at n = 7.
+        top = enumeration.MAX_N_PRUNED if lane[0] >= 5 else enumeration.MAX_N
+        for k in range(1, top):
+            for nbrs in enumeration._level(k, lane):
+                assert_generates_automorphisms(k, mask_edges(nbrs))
 
     @pytest.mark.parametrize("n,edges", [
         (7, list(itertools.combinations(range(7), 2))),
