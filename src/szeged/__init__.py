@@ -35,10 +35,7 @@ from .extremal import (
 )
 from .formats import canonical_form, emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
 from .graphs import (
-    BipartiteCheck,
-    BlockDecomposition,
     CycleInfo,
-    DistanceMatrix,
     Graph,
     adjacency_bits,
     apsp,

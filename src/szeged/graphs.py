@@ -1,8 +1,14 @@
-"""Core graph type, shortest-path distances, and structural predicates."""
+"""Core graph type, shortest-path distances, and structural predicates.
+
+Results are plain values: apsp gives the tuple of BFS distance rows,
+is_bipartite a bool, blocks a tuple of vertex sets, and girth and
+odd_girth a CycleInfo record of a length and a witness cycle.
+"""
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from typing import NamedTuple
 
 from . import _canon
 from .errors import DuplicateEdge, GraphError, SelfLoop, VertexOutOfRange
@@ -129,45 +135,14 @@ def _bfs(g: Graph, roots, cap: int | None = None):
     return depth, parent
 
 
-class DistanceMatrix:
-    """All-pairs hop distances; entry None marks an unreachable pair."""
-
-    __slots__ = ("n", "d", "connected")
-
-    def __init__(self, n: int, rows: tuple[tuple[int | None, ...], ...]):
-        self.n = n
-        self.d = rows
-        self.connected = all(x is not None for x in rows[0]) if n else True
-
-    def dist(self, u: int, v: int) -> int | None:
-        return self.d[u][v]
-
-    def __getitem__(self, u: int) -> tuple[int | None, ...]:
-        return self.d[u]
-
-
-def apsp(g: Graph) -> DistanceMatrix:
-    """Breadth-first distances from every vertex."""
-    return DistanceMatrix(g.n, tuple(tuple(_bfs(g, (s,))[0]) for s in range(g.n)))
+def apsp(g: Graph) -> tuple[tuple[int | None, ...], ...]:
+    """Breadth-first distance rows from every vertex; None where unreached."""
+    return tuple(tuple(_bfs(g, (s,))[0]) for s in range(g.n))
 
 
 def is_connected(g: Graph) -> bool:
     """True iff one BFS from vertex 0 reaches every vertex."""
     return None not in _bfs(g, (0,))[0]
-
-
-class BipartiteCheck:
-    """Verdict plus certificate: a 2-coloring, or an odd cycle."""
-
-    __slots__ = ("bipartite", "coloring", "odd_cycle")
-
-    def __init__(self, bipartite: bool, coloring, odd_cycle):
-        self.bipartite = bipartite
-        self.coloring = coloring
-        self.odd_cycle = odd_cycle
-
-    def __bool__(self) -> bool:
-        return self.bipartite
 
 
 def _tree_cycle(parent: list[int | None], depth: list[int | None],
@@ -195,35 +170,26 @@ def _tree_cycle(parent: list[int | None], depth: list[int | None],
     return tuple(up_u + up_v[-2::-1])
 
 
-def is_bipartite(g: Graph) -> BipartiteCheck:
-    """2-color by BFS depth parity; on failure return a simple odd cycle instead.
+def is_bipartite(g: Graph) -> bool:
+    """True iff no edge joins two vertices of one BFS forest depth.
 
-    The witness closes the first edge, in edge order, whose ends share a
-    depth: the depths of adjacent vertices differ by at most one.
+    Adjacent depths differ by at most one, so without such an edge depth
+    parity 2-colours g; with one, the edge and the two tree paths above
+    it close an odd cycle.
     """
-    depth, parent = _bfs(g, range(g.n))
-    for u, v in g.edges:
-        if depth[u] == depth[v]:
-            return BipartiteCheck(False, None, _tree_cycle(parent, depth, u, v))
-    return BipartiteCheck(True, tuple(d % 2 for d in depth), None)
+    depth = _bfs(g, range(g.n))[0]
+    return all(depth[u] != depth[v] for u, v in g.edges)
 
 
-class CycleInfo:
+class CycleInfo(NamedTuple):
     """Shortest-cycle report: a length and one witness cycle.
 
     length None is the acyclic marker (no cycle of the requested kind);
     the witness is then empty.
     """
 
-    __slots__ = ("length", "witness")
-
-    def __init__(self, length: int | None, witness: tuple[int, ...]):
-        self.length = length
-        self.witness = witness
-
-    @property
-    def is_acyclic(self) -> bool:
-        return self.length is None
+    length: int | None
+    witness: tuple[int, ...]
 
 
 def _shortest_cycle(g: Graph, odd: bool) -> CycleInfo:
@@ -276,17 +242,9 @@ def odd_girth(g: Graph) -> CycleInfo:
     return _shortest_cycle(g, odd=True)
 
 
-class BlockDecomposition:
-    """Biconnected components as vertex sets; bridges are 2-vertex blocks."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks: tuple[frozenset[int], ...]):
-        self.blocks = blocks
-
-
-def blocks(g: Graph) -> BlockDecomposition:
-    """DFS lowpoint decomposition; isolated vertices give singleton blocks.
+def blocks(g: Graph) -> tuple[frozenset[int], ...]:
+    """Biconnected components as vertex sets, in order of their sorted
+    members; bridges are 2-vertex blocks, isolated vertices singletons.
 
     Hopcroft and Tarjan (1973): vertices are stacked as the search reaches
     them.  When it backs out of u into its parent p with low[u] >= depth[p],
@@ -331,7 +289,7 @@ def blocks(g: Graph) -> BlockDecomposition:
                         members.append(stack.pop())
                     found.append(frozenset(members))
     found.sort(key=sorted)
-    return BlockDecomposition(tuple(found))
+    return tuple(found)
 
 
 def adjacency_bits(g: Graph) -> list[int]:

@@ -2,11 +2,13 @@
 
 _indices computes all three indices of a connected graph, and the tie
 total and untied cover the lemma suite reads, from one all-sources sweep
-and one pass over the edges; index_report packs its indices, and pi lists
-the edges one vertex pair straddles.  The revised index is handled as the
-integer 4*Sz(G)* throughout: each edge term (n_u + n_0/2)(n_v + n_0/2)
-has denominator exactly 4, so (2*n_u + n_0)(2*n_v + n_0) is exact and no
-floats ever appear.
+and one pass over the edges; index_report packs its indices.  pi lists
+the edges one vertex pair straddles, read from apsp's plain distance
+rows, and blocks_all_complete counts the edges that graphs.blocks' vertex
+sets can hold.  The revised index is handled as the integer 4*Sz(G)*
+throughout: each edge term (n_u + n_0/2)(n_v + n_0/2) has denominator
+exactly 4, so (2*n_u + n_0)(2*n_v + n_0) is exact and no floats ever
+appear.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import Disconnected, GraphError, SamePair, TooLarge, VertexOutOfRange
-from .graphs import BlockDecomposition, DistanceMatrix, Graph
+from .graphs import Graph
 
 # Nothing here calls these; perfbench/child.py spans them on this module
 # when it traces a run.
@@ -61,8 +63,9 @@ def _straddled(g: Graph, dx, dy) -> tuple[tuple[int, int], ...]:
                  if (dx[u] - dx[v]) * (dy[u] - dy[v]) < 0)
 
 
-def pi(g: Graph, dm: DistanceMatrix, x: int, y: int) -> PairContribution:
-    """Edges straddled by {x, y}, and their count minus d(x, y).
+def pi(g: Graph, dm, x: int, y: int) -> PairContribution:
+    """Edges straddled by {x, y}, and their count minus d(x, y), read
+    from dm, the distance rows apsp(g) returns.
 
     Raises VertexOutOfRange for an end outside 0..n-1 before any other
     check, then GraphError for a matrix whose order is not n, then
@@ -70,9 +73,9 @@ def pi(g: Graph, dm: DistanceMatrix, x: int, y: int) -> PairContribution:
     """
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise VertexOutOfRange(f"pair ({x}, {y}) outside 0..{g.n - 1}")
-    if dm.n != g.n:
-        raise GraphError(f"distance matrix of order {dm.n} for a graph with n = {g.n}")
-    if not dm.connected:
+    if len(dm) != g.n:
+        raise GraphError(f"distance matrix of order {len(dm)} for a graph with n = {g.n}")
+    if None in dm[0]:
         raise Disconnected("indices are defined for connected graphs only")
     if x == y:
         raise SamePair(f"pair needs two distinct vertices, got {x} twice")
@@ -80,15 +83,15 @@ def pi(g: Graph, dm: DistanceMatrix, x: int, y: int) -> PairContribution:
     return PairContribution((x, y), straddled, len(straddled) - dm[x][y])
 
 
-def blocks_all_complete(g: Graph, bd: BlockDecomposition) -> bool:
-    """True iff every block induces a complete subgraph."""
-    for block in bd.blocks:
-        members = sorted(block)
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                if not g.has_edge(u, v):
-                    return False
-    return True
+def blocks_all_complete(g: Graph, blocks) -> bool:
+    """True iff every block of g induces a complete subgraph; blocks must
+    be graphs.blocks(g), since only their sizes are read.
+
+    Every edge lies in exactly one block, and a block B holds at most
+    C(|B|, 2) of them, so the blocks are all complete iff those counts
+    sum to m.
+    """
+    return sum(len(b) * (len(b) - 1) // 2 for b in blocks) == g.m
 
 
 def _sweep(g: Graph):

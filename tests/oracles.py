@@ -2,7 +2,7 @@
 
 Nothing here imports the package under test.  Distances come from simple-path
 enumeration, the indices from formulas over a plain table of distance rows,
-cycles from explicit subset search, connectivity from union-find,
+cycles from explicit subset search, connectivity and blocks from union-find,
 and isomorphism dedup from a full permutation sweep over a row-major bit
 encoding (the package uses column-major), so agreement is meaningful.
 The lex-min code the package's names follow is refereed by lexmin_codes,
@@ -158,59 +158,57 @@ def girth_cycle_search(n, edges, parity=None):
     return None
 
 
-def all_cycles(n, edges):
-    """Every simple cycle, as a frozenset of edges."""
-    edge_set = {(min(u, v), max(u, v)) for u, v in edges}
-    found = set()
-    for k in range(3, n + 1):
-        for subset in itertools.combinations(range(n), k):
-            first, *rest = subset
-            for perm in itertools.permutations(rest):
-                ring = (first,) + perm
-                cyc = [(min(a, b), max(a, b))
-                       for a, b in zip(ring, ring[1:] + ring[:1])]
-                if all(e in edge_set for e in cyc):
-                    found.add(frozenset(cyc))
-    return found
+def _find(parent, x):
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def blocks_oracle(n, edges):
-    """Blocks as vertex frozensets, from edge equivalence by shared cycles."""
-    cycles = all_cycles(n, edges)
+    """Blocks as vertex frozensets, from edge equivalence by shared cycles.
+
+    Two edges (v, a) and (v, b) lie on a common cycle iff a and b are
+    joined in G - v, which a union-find over the other edges tells.  Any
+    two edges of a block with a cycle share one (Whitney, 1932), and its
+    edges are linked by such adjacent pairs, so the classes these pairs
+    generate are the blocks.
+    """
     norm = [(min(u, v), max(u, v)) for u, v in edges]
     parent = {e: e for e in norm}
-
-    def find(e):
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    for cyc in cycles:
-        cyc = sorted(cyc)
-        for e in cyc[1:]:
-            parent[find(e)] = find(cyc[0])
+    for v in range(n):
+        rest = list(range(n))
+        for a, b in norm:
+            if v not in (a, b):
+                rest[_find(rest, a)] = _find(rest, b)
+        at_v = [e for e in norm if v in e]
+        for e, f in itertools.combinations(at_v, 2):
+            if _find(rest, sum(e) - v) == _find(rest, sum(f) - v):
+                parent[_find(parent, e)] = _find(parent, f)
     groups = {}
     for e in norm:
-        groups.setdefault(find(e), set()).update(e)
+        groups.setdefault(_find(parent, e), set()).update(e)
     blocks = [frozenset(g) for g in groups.values()]
     covered = set().union(*blocks) if blocks else set()
     blocks.extend(frozenset([v]) for v in range(n) if v not in covered)
     return sorted(blocks, key=sorted)
 
 
+def blocks_complete_oracle(n, edges):
+    """True iff every block induces a complete subgraph: each pair of a
+    block's vertices is looked up in the edge set."""
+    edge_set = {(min(u, v), max(u, v)) for u, v in edges}
+    return all(pair in edge_set
+               for block in blocks_oracle(n, edges)
+               for pair in itertools.combinations(sorted(block), 2))
+
+
 def connected_uf(n, edges):
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for u, v in edges:
-        parent[find(u)] = find(v)
-    return len({find(v) for v in range(n)}) == 1
+        parent[_find(parent, u)] = _find(parent, v)
+    return len({_find(parent, v) for v in range(n)}) == 1
 
 
 def bipartite_2color(n, edges):

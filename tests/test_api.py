@@ -1,13 +1,21 @@
 """The package's public surface, pinned so that a name added or dropped
-shows up as a change to this list."""
+shows up as a change to this list, and README's examples, run as written."""
 
 from __future__ import annotations
 
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
 import szeged
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 PUBLIC = [
-    "BipartiteCheck", "BlockDecomposition", "BoundValue", "CycleInfo",
-    "Disconnected", "DistanceMatrix", "DuplicateEdge", "FormatError", "Graph",
+    "BoundValue", "CycleInfo", "Disconnected", "DuplicateEdge", "FormatError",
+    "Graph",
     "GraphError", "HypothesisViolated", "IndexReport", "InvalidTreeSpec",
     "LemmaReport", "PairContribution", "SamePair", "SelfLoop", "THEOREMS",
     "TooLarge", "TreeSpec", "UniverseFilter", "VerificationReport",
@@ -27,3 +35,24 @@ PUBLIC = [
 def test_public_names():
     assert sorted(szeged.__all__) == PUBLIC
 
+
+
+def test_readme_library_block_runs():
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = library.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_compute_line_prints_what_it_shows():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    i = lines.index("$ szeged construct --family cycle-tree --cycle 5 --tree 1"
+                    " | szeged compute --json")
+    # Each stage in a new interpreter that imports this checkout's szeged.
+    env = {**os.environ, "PYTHONPATH": str(Path(szeged.__file__).resolve().parents[1])}
+    out = ""
+    for stage in lines[i][2:].split(" | "):
+        program, *args = shlex.split(stage)
+        assert program == "szeged"
+        out = subprocess.run([sys.executable, "-m", "szeged.cli", *args], input=out,
+                             capture_output=True, text=True, env=env, check=True).stdout
+    assert out == lines[i + 1] + "\n"

@@ -232,7 +232,8 @@ def referee_children(parents, k, lane):
     mapped to whether the parent-side column bound skips it; parents are
     neighbour masks.
 
-    Each child is built as a Graph and judged by girth and is_bipartite.
+    On a pruned lane each child is built as a Graph and judged by girth
+    and is_bipartite; on the unrestricted lane every child stays.
     The bound: a column is skipped if it is smaller than the largest degree
     of a vertex of the parent that is no cut vertex (union-find on the
     parent - w), or, for a one-vertex column, the second largest.
@@ -250,12 +251,13 @@ def referee_children(parents, k, lane):
         first, second = (noncut + [0, 0])[:2]
         for col in range(1, 1 << k):
             slots = parent + [m + i for i in range(k) if col >> i & 1]
-            child = graph_from_slots(k + 1, slots)
-            length = girth(child).length
-            if girth_k and length is not None and length < girth_k:
-                continue
-            if bip and not is_bipartite(child):
-                continue
+            if girth_k or bip:
+                child = graph_from_slots(k + 1, slots)
+                length = girth(child).length
+                if girth_k and length is not None and length < girth_k:
+                    continue
+                if bip and not is_bipartite(child):
+                    continue
             size = bin(col).count("1")
             row = [0] * (m + k)
             for s in slots:

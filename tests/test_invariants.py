@@ -69,13 +69,13 @@ def reference_report(g):
     """index_report's fields by the per-source path: apsp rows feeding the
     referee's formulas, plus the BFS bipartite test and the shortest-cycle
     scans."""
-    d = apsp(g).d
+    d = apsp(g)
     w = oracles.wiener_oracle(d)
     sz = oracles.szeged_oracle(d, g.edges)
     rsz4 = oracles.revised_szeged_x4_oracle(d, g.edges)
     return {"n": g.n, "m": g.m, "wiener": w, "szeged": sz,
             "revised_szeged_x4": rsz4, "gap_sz": sz - w,
-            "gap_rsz_x4": rsz4 - 4 * w, "bipartite": bool(is_bipartite(g)),
+            "gap_rsz_x4": rsz4 - 4 * w, "bipartite": is_bipartite(g),
             "girth": girth(g).length, "odd_girth": odd_girth(g).length}
 
 
@@ -102,7 +102,7 @@ class TestEdgePartition:
 
     @staticmethod
     def split(g, e):
-        return oracles.edge_split(apsp(g).d, *e)
+        return oracles.edge_split(apsp(g), *e)
 
     def test_c5_every_edge(self):
         g = cycle_graph(5)
@@ -117,7 +117,7 @@ class TestEdgePartition:
 
     def test_counts_sum_to_n(self):
         for g in small_connected(6, min_n=2):
-            d = apsp(g).d
+            d = apsp(g)
             for e in g.edges:
                 n_u, n_v, n_0 = oracles.edge_split(d, *e)
                 assert n_u + n_v + n_0 == g.n
@@ -128,19 +128,19 @@ class TestMu:
     """The referee's mu, on apsp rows."""
 
     def test_p3(self):
-        d = apsp(path_graph(3)).d
+        d = apsp(path_graph(3))
         assert oracles.mu_oracle(d, 0, 2, 1, 2) == 1
         assert oracles.mu_oracle(d, 0, 2, 0, 1) == 1
         assert oracles.mu_oracle(d, 0, 1, 1, 2) == 0
 
     def test_c5_distance_two_pair(self):
-        d = apsp(cycle_graph(5)).d
+        d = apsp(cycle_graph(5))
         assert oracles.mu_oracle(d, 0, 2, 3, 4) == 1
         assert oracles.mu_oracle(d, 0, 2, 2, 3) == 0
 
     def test_symmetric_in_the_pair(self):
         g = build_graph(4, PAW)
-        d = apsp(g).d
+        d = apsp(g)
         for e in g.edges:
             for x in range(4):
                 for y in range(4):
@@ -273,7 +273,7 @@ def test_pi_matches_mu_definition(seed):
     dm = apsp(g)
     for x in range(n):
         for y in range(x + 1, n):
-            want = tuple(e for e in g.edges if oracles.mu_oracle(dm.d, x, y, *e))
+            want = tuple(e for e in g.edges if oracles.mu_oracle(dm, x, y, *e))
             p = pi(g, dm, x, y)
             assert p.pair == (x, y)
             assert p.mu_edges == want and p.pi == len(want) - dm[x][y]
@@ -284,14 +284,14 @@ class TestDualFormula:
 
     def test_exhaustive_small(self):
         for g in small_connected(6, min_n=2):
-            assert index_report(g).szeged == oracles.szeged_via_mu_oracle(apsp(g).d, g.edges)
+            assert index_report(g).szeged == oracles.szeged_via_mu_oracle(apsp(g), g.edges)
 
     def test_random_instances(self):
         rng = random.Random(42)
         for _ in range(300):
             n, edges = oracles.random_connected_graph(rng, max_n=10)
             g = build_graph(n, edges)
-            assert index_report(g).szeged == oracles.szeged_via_mu_oracle(apsp(g).d, g.edges)
+            assert index_report(g).szeged == oracles.szeged_via_mu_oracle(apsp(g), g.edges)
 
 
 class TestNZeroSum:
@@ -304,7 +304,7 @@ class TestNZeroSum:
 
     def test_bipartite_means_zero(self):
         for g in small_connected(6, min_n=2):
-            assert (_indices(g)[2] == 0) == bool(is_bipartite(g))
+            assert (_indices(g)[2] == 0) == is_bipartite(g)
 
 
 class TestOrderingAndEquality:
@@ -322,7 +322,7 @@ class TestOrderingAndEquality:
     def test_bipartite_iff_revised_equals_szeged(self):
         for g in small_connected(6, min_n=2):
             w, sz, rsz4 = indices(g)
-            assert (rsz4 == 4 * sz) == bool(is_bipartite(g))
+            assert (rsz4 == 4 * sz) == is_bipartite(g)
 
     def test_szeged_equals_wiener_iff_complete_blocks(self):
         for g in small_connected(6, min_n=1):
@@ -334,6 +334,26 @@ class TestOrderingAndEquality:
         g = build_graph(4, PAW)
         assert blocks_all_complete(g, blocks(g))
         assert not blocks_all_complete(cycle_graph(5), blocks(cycle_graph(5)))
+
+
+class TestBlocksAllComplete:
+    """The block-count rule against the referee's pairwise edge lookups."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_connected_class(self, n):
+        for g in enumerate_connected(UniverseFilter(n)):
+            want = oracles.blocks_complete_oracle(g.n, g.edges)
+            assert blocks_all_complete(g, blocks(g)) == want
+
+    def test_every_atlas_graph(self):
+        # Disconnected graphs too: isolated vertices are singleton blocks.
+        nx = pytest.importorskip("networkx")
+        for h in nx.graph_atlas_g():
+            n, edges = h.number_of_nodes(), list(h.edges)
+            if 1 <= n <= 6:
+                g = build_graph(n, edges)
+                want = oracles.blocks_complete_oracle(n, edges)
+                assert blocks_all_complete(g, blocks(g)) == want
 
 
 class TestIndexReport:
@@ -516,7 +536,7 @@ def test_partition_identity_random(seed):
     rng = random.Random(seed)
     n, edges = oracles.random_connected_graph(rng, max_n=12)
     g = build_graph(n, edges)
-    d = apsp(g).d
+    d = apsp(g)
     for e in g.edges:
         assert sum(oracles.edge_split(d, *e)) == n
     assert _indices(g)[1:4] == (oracles.szeged_oracle(d, g.edges),
