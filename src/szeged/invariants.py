@@ -4,11 +4,11 @@ _indices computes all three indices of a connected graph, and the tie
 total and untied cover the lemma suite reads, from one all-sources sweep
 and one pass over the edges; index_report packs its indices.  pi lists
 the edges one vertex pair straddles, read from apsp's plain distance
-rows, and blocks_all_complete counts the edges that graphs.blocks' vertex
-sets can hold.  The revised index is handled as the integer 4*Sz(G)*
-throughout: each edge term (n_u + n_0/2)(n_v + n_0/2) has denominator
-exactly 4, so (2*n_u + n_0)(2*n_v + n_0) is exact and no floats ever
-appear.
+rows; the lemma suite reads its cycle pairs' slacks there too.
+blocks_all_complete counts the edges that g's blocks can hold.  The
+revised index is handled as the integer 4*Sz(G)* throughout: each edge
+term (n_u + n_0/2)(n_v + n_0/2) has denominator exactly 4, so
+(2*n_u + n_0)(2*n_v + n_0) is exact and no floats ever appear.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import Disconnected, GraphError, SamePair, TooLarge, VertexOutOfRange
-from .graphs import Graph
+from .graphs import Graph, blocks
 
 # Nothing here calls these; perfbench/child.py spans them on this module
 # when it traces a run.
@@ -56,16 +56,10 @@ class IndexReport(NamedTuple):
         return self._asdict()
 
 
-def _straddled(g: Graph, dx, dy) -> tuple[tuple[int, int], ...]:
-    """Edges across which the distance rows dx and dy change in opposite
-    strict directions: those that the pair of their sources straddles."""
-    return tuple((u, v) for u, v in g.edges
-                 if (dx[u] - dx[v]) * (dy[u] - dy[v]) < 0)
-
-
 def pi(g: Graph, dm, x: int, y: int) -> PairContribution:
     """Edges straddled by {x, y}, and their count minus d(x, y), read
-    from dm, the distance rows apsp(g) returns.
+    from dm, the distance rows apsp(g) returns: an edge is straddled when
+    the rows of x and y change across it in opposite strict directions.
 
     Raises VertexOutOfRange for an end outside 0..n-1 before any other
     check, then GraphError for a matrix whose order is not n, then
@@ -79,19 +73,20 @@ def pi(g: Graph, dm, x: int, y: int) -> PairContribution:
         raise Disconnected("indices are defined for connected graphs only")
     if x == y:
         raise SamePair(f"pair needs two distinct vertices, got {x} twice")
-    straddled = _straddled(g, dm[x], dm[y])
-    return PairContribution((x, y), straddled, len(straddled) - dm[x][y])
+    dx, dy = dm[x], dm[y]
+    straddled = tuple((u, v) for u, v in g.edges
+                      if (dx[u] - dx[v]) * (dy[u] - dy[v]) < 0)
+    return PairContribution((x, y), straddled, len(straddled) - dx[y])
 
 
-def blocks_all_complete(g: Graph, blocks) -> bool:
-    """True iff every block of g induces a complete subgraph; blocks must
-    be graphs.blocks(g), since only their sizes are read.
+def blocks_all_complete(g: Graph) -> bool:
+    """True iff every block of g induces a complete subgraph.
 
     Every edge lies in exactly one block, and a block B holds at most
-    C(|B|, 2) of them, so the blocks are all complete iff those counts
-    sum to m.
+    C(|B|, 2) of them, so the blocks are all complete iff those counts,
+    over graphs.blocks(g), sum to m.
     """
-    return sum(len(b) * (len(b) - 1) // 2 for b in blocks) == g.m
+    return sum(len(b) * (len(b) - 1) // 2 for b in blocks(g)) == g.m
 
 
 def _sweep(g: Graph):

@@ -1,8 +1,9 @@
 """Exhaustive verification of the index bounds over small-graph universes.
 
-index_report gives verify_theorem its gaps; verify_lemmas reads W, Sz and
-the ties from the same sweep and edge pass, and BFS rows of a shortest
-cycle only.
+index_report gives verify_theorem its gaps; verify_lemmas reads W, Sz, the
+ties and the shortest cycle's length from the same sweep and edge pass.
+Only where that length is 4 or more does it find a shortest cycle, and
+read its pairs' slacks with pi from apsp rows.
 """
 
 from __future__ import annotations
@@ -21,12 +22,8 @@ from .extremal import (  # THEOREMS and universe_filter stay importable here
     universe_filter,
 )
 from .formats import canonical_form
-from .graphs import Graph, _bfs, blocks, girth
-from .invariants import _indices, _straddled, blocks_all_complete, index_report
-
-# Nothing here calls apsp; perfbench/child.py spans it on this module when
-# it traces a run.
-from .graphs import apsp  # noqa: F401
+from .graphs import Graph, apsp, girth
+from .invariants import _indices, blocks_all_complete, index_report, pi
 
 
 def _name(g: Graph) -> str:
@@ -147,23 +144,23 @@ def _cycle_pairs_ok(g: Graph, cycle: tuple[int, ...]) -> bool:
 
     On an even shortest cycle every pair must have pi at least its cycle
     distance; on an odd one, pairs at cycle distance 2 or more must have
-    pi at least 1.  pi is read as invariants.pi reads it, from the BFS
-    rows of the cycle's vertices only.
+    pi at least 1, so a triangle bounds no pair.  Each slack is
+    invariants.pi's, read from one apsp table.
     """
     k = len(cycle)
-    rows = [_bfs(g, (v,))[0] for v in cycle]
+    dm = apsp(g)
     for i in range(k):
         for j in range(i + 1, k):
             d_c = min(j - i, k - (j - i))
             need = d_c if k % 2 == 0 else int(d_c >= 2)
-            if need and len(_straddled(g, rows[i], rows[j])) - rows[i][cycle[j]] < need:
+            if need and pi(g, dm, cycle[i], cycle[j]).pi < need:
                 return False
     return True
 
 
 def _block_iff_ok(g: Graph, w: int, sz: int) -> bool:
     """Sz equals W exactly when every block is complete."""
-    return blocks_all_complete(g, blocks(g)) == (sz == w)
+    return blocks_all_complete(g) == (sz == w)
 
 
 def _equidistant_ok(n: int, n0: int, untied: int) -> bool:
@@ -186,8 +183,11 @@ def verify_lemmas(n: int) -> LemmaReport:
     size = 0
     for g in enumerate_connected(UniverseFilter(n)):
         size += 1
-        w, sz, n0, untied = _indices(g)[:4]
-        if not _cycle_pairs_ok(g, girth(g).witness):
+        w, sz, n0, untied, _, length, _ = _indices(g)
+        # A forest has no cycle and a triangle no pair to bound, so only
+        # a shortest cycle of length 4 or more is looked for.
+        if (length is not None and length >= 4
+                and not _cycle_pairs_ok(g, girth(g).witness)):
             cycle_bad.append(_name(g))
         if not _block_iff_ok(g, w, sz):
             block_bad.append(_name(g))

@@ -24,7 +24,6 @@ from szeged import (
     UniverseFilter,
     VertexOutOfRange,
     apsp,
-    blocks,
     blocks_all_complete,
     build_graph,
     complete_graph,
@@ -327,13 +326,13 @@ class TestOrderingAndEquality:
     def test_szeged_equals_wiener_iff_complete_blocks(self):
         for g in small_connected(6, min_n=1):
             w, sz, _ = indices(g)
-            assert (sz == w) == blocks_all_complete(g, blocks(g))
+            assert (sz == w) == blocks_all_complete(g)
 
     def test_block_examples(self):
-        assert blocks_all_complete(path_graph(4), blocks(path_graph(4)))
+        assert blocks_all_complete(path_graph(4))
         g = build_graph(4, PAW)
-        assert blocks_all_complete(g, blocks(g))
-        assert not blocks_all_complete(cycle_graph(5), blocks(cycle_graph(5)))
+        assert blocks_all_complete(g)
+        assert not blocks_all_complete(cycle_graph(5))
 
 
 class TestBlocksAllComplete:
@@ -343,7 +342,7 @@ class TestBlocksAllComplete:
     def test_every_connected_class(self, n):
         for g in enumerate_connected(UniverseFilter(n)):
             want = oracles.blocks_complete_oracle(g.n, g.edges)
-            assert blocks_all_complete(g, blocks(g)) == want
+            assert blocks_all_complete(g) == want
 
     def test_every_atlas_graph(self):
         # Disconnected graphs too: isolated vertices are singleton blocks.
@@ -353,7 +352,7 @@ class TestBlocksAllComplete:
             if 1 <= n <= 6:
                 g = build_graph(n, edges)
                 want = oracles.blocks_complete_oracle(n, edges)
-                assert blocks_all_complete(g, blocks(g)) == want
+                assert blocks_all_complete(g) == want
 
 
 class TestIndexReport:

@@ -237,13 +237,23 @@ class TestLemmaChecks:
         r = verify_lemmas(6)
         assert r.ok and r.universe_size == 112
 
-    def test_lemmas_do_not_use_apsp(self, monkeypatch):
-        def refuse(g):
-            raise AssertionError("verify_lemmas called apsp")
+    def test_lemmas_call_apsp_once_per_girth_4_class(self, monkeypatch):
+        # Only a shortest cycle of length 4 or more bounds a pair, so girth
+        # and apsp run once for each class with one, and for no other.
+        want = oracles.count_classes(
+            6, lambda n, edges: oracles.connected_uf(n, edges)
+            and (oracles.girth_cycle_search(n, edges) or 0) >= 4)
+        assert want == 13
+        calls = {"apsp": 0, "girth": 0}
+        for name in calls:
+            def counted(g, real=getattr(verify_module, name), name=name):
+                calls[name] += 1
+                return real(g)
 
-        monkeypatch.setattr(verify_module, "apsp", refuse)
+            monkeypatch.setattr(verify_module, name, counted)
         r = verify_lemmas(6)
         assert r.ok and r.universe_size == 112
+        assert calls == {"apsp": want, "girth": want}
 
 
 class TestEdgePass:
@@ -302,11 +312,17 @@ class TestNaming:
         for check in ("_cycle_pairs_ok", "_block_iff_ok", "_equidistant_ok"):
             monkeypatch.setattr(verify_module, check, lambda *args: False)
         r = verify_lemmas(5)
-        want = sorted(canonical_form(build_graph(5, edges)).decode("ascii")
-                      for edges in oracles.graph_classes(5)
-                      if oracles.connected_uf(5, edges))
+        girths = {canonical_form(build_graph(5, edges)).decode("ascii"):
+                  oracles.girth_cycle_search(5, edges)
+                  for edges in oracles.graph_classes(5)
+                  if oracles.connected_uf(5, edges)}
+        want = sorted(girths)
         assert len(want) == 21
-        assert list(r.cycle_pair_violations) == want
+        # The cycle check runs only where a shortest cycle has 4 or more
+        # vertices: C4 with a pendant vertex, K2,3 and C5.
+        past_triangles = [name for name in want if (girths[name] or 0) >= 4]
+        assert len(past_triangles) == 3
+        assert list(r.cycle_pair_violations) == past_triangles
         assert list(r.block_iff_violations) == want
         assert list(r.equidistant_violations) == want
 
