@@ -5,19 +5,20 @@ triangle in column order: vertex k's column is a nonempty neighbor subset
 of the k vertices before it, added to a connected parent, so every level
 holds connected graphs only, one per class.  Graphs are neighbour
 bitmasks on Python ints throughout.  Of the columns a parent's
-automorphisms map onto each other only one is added, and a child is
-kept only if its new vertex is a non-cut vertex of largest key: as
-built if it is the only one, and otherwise deduplicated by the
-canonical code of _canon.min_codes.  Hereditary constraints (bipartite,
-no short cycles) prune columns by the parents' distances in
-_children_rows; the non-hereditary filters (nonbipartite, edge count)
-run on the last level's representatives.
+automorphisms map onto each other only one is judged, and its row is
+built only if the new vertex is a non-cut vertex of largest key, which
+the parent's own degrees and components decide: kept as built if it is
+the only one, and otherwise deduplicated by the canonical code of
+_canon.min_codes.  Hereditary constraints (bipartite, no short cycles)
+prune columns by the parents' distances in _children_rows; the
+non-hereditary filters (nonbipartite, edge count) run on the last
+level's representatives.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import _canon
 from .errors import TooLarge
@@ -90,16 +91,20 @@ def _members(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(v for v in range(n) if mask >> v & 1) for mask in range(1 << n))
 
 
-def _connected(nbrs, rest: int, members) -> bool:
-    """Whether the vertices of the bitmask rest induce a connected graph."""
-    reach = front = rest & -rest
-    while front:
-        grown = 0
-        for u in members[front]:
-            grown |= nbrs[u]
-        front = grown & rest & ~reach
-        reach |= front
-    return reach == rest
+def _components(nbrs, rest: int, members) -> tuple[int, ...]:
+    """The components, as bitmasks, of the subgraph the bitmask rest induces."""
+    comps = []
+    while rest:
+        reach = front = rest & -rest
+        while front:
+            grown = 0
+            for u in members[front]:
+                grown |= nbrs[u]
+            front = grown & rest & ~reach
+            reach |= front
+        comps.append(reach)
+        rest ^= reach
+    return tuple(comps)
 
 
 def _allowed_columns(nbrs: tuple[int, ...], lane: tuple[int, bool]) -> list[bool]:
@@ -144,38 +149,50 @@ def _columns_by_size(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, by_size))
 
 
-def _children_rows(parents, child_n: int, lane: tuple[int, bool]) -> list[tuple[int, ...]]:
-    """Neighbour bitmasks of the one-vertex extensions of the parents (each
-    its neighbour bitmasks) that the lane permits and the parent does not
-    rule out as deletion candidates, one per orbit of the parent's
-    automorphism group on the columns.
+def _children_rows(parents, child_n: int,
+                   lane: tuple[int, bool]) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """Yield (neighbour bitmasks, tie) for the one-vertex extensions of
+    the parents (each its neighbour bitmasks) that the lane permits and
+    McKay's mask keeps, one per orbit of the parent's automorphism group
+    on the columns.
 
-    The new vertex k = child_n - 1 is joined to a nonempty column of the
-    parent's vertices.  A column _allowed_columns refuses is never built.
-    Nor is a column smaller than the parent degree of some non-cut vertex
-    w other than the column itself: w stays non-cut in the child (the new
-    vertex hangs on a vertex of the connected parent - w) and its degree
-    does not fall, so its key beats the new vertex's.  The largest non-cut
-    degree bounds every column; a one-vertex column may be that w, so it
-    takes the second largest.  Of the columns an automorphism of the
-    parent maps onto each other, only the first in by-size order is built:
-    the automorphism, fixing the new vertex, maps one child onto the
-    other.  Orbits are closed over the generators _canon.automorphisms
-    gives, on each column's vertices.
+    The new vertex k = child_n - 1 is joined to a nonempty column col of
+    the parent P's vertices.  A column _allowed_columns refuses is never
+    judged.  Nor is a column smaller than the parent degree of some
+    non-cut vertex w other than the column itself: w stays non-cut in the
+    child (the new vertex hangs on a vertex of the connected P - w) and
+    its degree does not fall, so its key beats the new vertex's.  The
+    largest non-cut degree bounds every column; a one-vertex column may
+    be that w, so it takes the second largest.  Of the columns an
+    automorphism of P maps onto each other, only the first in by-size
+    order is judged: the automorphism, fixing the new vertex, maps one
+    child onto the other.  Orbits are closed over the generators
+    _canon.automorphisms gives, on each column's vertices.
+
+    The mask reads only facts of P, found once per parent: its degrees,
+    its neighbour-degree sums and the components of each P - w.  A
+    vertex's key is (degree, sum of its neighbours' degrees).  In the
+    child the new vertex has key (|col|, |col| + the degrees of col); a
+    parent vertex w gains [w in col] in degree, and in its sum its
+    neighbours in col and [w in col]·|col|.  The new vertex is non-cut,
+    as P is connected; w is non-cut iff col meets every component of
+    P - w, vacuously so when P is one vertex.  A row is built only if no
+    non-cut vertex has a larger key than the new one, and is tied if
+    another non-cut vertex has the same key.
     """
     k = child_n - 1
     new = 1 << k
     constrained = lane != (0, False)
-    everyone = new - 1
     by_size, members = _columns_by_size(k), _members(k)
-    rows = []
     for nbrs in parents:
         allowed = _allowed_columns(nbrs, lane) if constrained else None
         # Per generator, the bit of each vertex's image.
         gens = [[1 << w for w in image] for image in _canon.automorphisms(nbrs)]
         seen = set()
-        noncut = sorted((nbrs[w].bit_count() for w in range(k)
-                         if _connected(nbrs, everyone ^ 1 << w, members)), reverse=True) + [0, 0]
+        deg = [b.bit_count() for b in nbrs]
+        nsum = [sum([deg[u] for u in members[b]]) for b in nbrs]
+        comps = [_components(nbrs, (new - 1) ^ 1 << w, members) for w in range(k)]
+        noncut = sorted((deg[w] for w in range(k) if len(comps[w]) < 2), reverse=True) + [0, 0]
         for size in range(1, k + 1):
             if size < noncut[size == 1]:
                 continue
@@ -195,50 +212,23 @@ def _children_rows(parents, child_n: int, lane: tuple[int, bool]) -> list[tuple[
                             if d not in seen:
                                 seen.add(d)
                                 orbit.append(d)
-                child = list(nbrs)
-                for v in members[col]:
-                    child[v] |= new
-                child.append(col)
-                rows.append(tuple(child))
-    return rows
-
-
-def _deletion_candidates(rows, n: int) -> list[bool | None]:
-    """Per child (neighbour bitmasks), None unless its new vertex n - 1 is a
-    deletion candidate, else whether the candidate is tied.
-
-    A vertex's key is (degree, sum of its neighbours' degrees).  The new
-    vertex is a candidate unless some non-cut vertex (one whose removal
-    leaves the graph connected) has a larger key, and tied if another
-    non-cut vertex has the same key.  The new vertex is itself non-cut,
-    since its parent is connected.  Only the vertices whose key is at
-    least the new one's are tested for being non-cut, by a bitmask
-    closure of G - w, and no more of equal key once one is found.
-    """
-    v, everyone, members = n - 1, (1 << n) - 1, _members(n)
-    verdicts = []
-    for nbrs in rows:
-        deg = [b.bit_count() for b in nbrs]
-        dv, sv = deg[v], None
-        tie = False
-        for w in range(v):
-            if deg[w] < dv:
-                continue
-            beats = deg[w] > dv
-            if not beats:
-                if sv is None:
-                    sv = sum([deg[u] for u in members[nbrs[v]]])
-                sw = sum([deg[u] for u in members[nbrs[w]]])
-                if sw < sv or sw == sv and tie:
-                    continue
-                beats = sw > sv
-            if _connected(nbrs, everyone ^ 1 << w, members):
-                if beats:
-                    tie = None
-                    break
-                tie = True
-        verdicts.append(tie)
-    return verdicts
+                key = (size, size + sum([deg[u] for u in members[col]]))
+                tie = False
+                for w in range(k):
+                    inw = col >> w & 1
+                    if deg[w] + inw < size:
+                        continue
+                    kw = (deg[w] + inw, nsum[w] + (nbrs[w] & col).bit_count() + inw * size)
+                    if kw >= key and all(col & c for c in comps[w]):
+                        if kw > key:
+                            break
+                        tie = True
+                else:  # no non-cut vertex beats the new one
+                    child = list(nbrs)
+                    for v in members[col]:
+                        child[v] |= new
+                    child.append(col)
+                    yield tuple(child), tie
 
 
 @lru_cache(maxsize=None)
@@ -265,23 +255,24 @@ def _level(n: int, lane: tuple[int, bool]) -> tuple[tuple[int, ...], ...]:
     bipartiteness: so each graph of the level is a connected parent of
     the level below plus one nonempty column the lane allows.
 
-    Only rows whose new vertex is a deletion candidate are kept (McKay's
-    canonical deletion, J. Algorithms 26, 1998).  No class is lost: take
-    any graph G of the level and a non-cut vertex v* of largest key.
-    G - v* is connected and stays in the lane, so a graph isomorphic to
-    it is in the level below, and the lane's conflict rule is exact.  The
-    row adding the image of v*'s neighbourhood to it is G up to
-    isomorphism, and its new vertex has v*'s key, which no non-cut vertex
-    beats: so the column bound, which skips only rows whose new vertex a
-    non-cut vertex beats, would build the row, and it survives the mask.
-    If its column is not the one built for its orbit under the parent's
-    automorphisms, an automorphism maps it onto the built column; fixing
-    the new vertex, that automorphism maps G onto the built child, new
-    vertex onto new vertex.  The lane's rule, the column bound and the
-    mask depend only on the child and its new vertex, so the built row
-    passes all three and is G up to isomorphism.
+    Only rows whose new vertex is a non-cut vertex of largest key are
+    built, by the mask of _children_rows (McKay's canonical deletion, J.
+    Algorithms 26, 1998).  No class is lost: take any graph G of the
+    level and a non-cut vertex v* of largest key.  G - v* is connected
+    and stays in the lane, so a graph isomorphic to it is in the level
+    below, and the lane's conflict rule is exact.  The column adding the
+    image of v*'s neighbourhood to it gives G up to isomorphism, and its
+    new vertex has v*'s key, which no non-cut vertex beats: so the column
+    bound, which skips only columns whose new vertex a non-cut vertex
+    beats, would pass it, and the mask keeps it.  If it is not the column
+    judged for its orbit under the parent's automorphisms, an
+    automorphism maps it onto the judged column; fixing the new vertex,
+    that automorphism maps G onto the judged child, new vertex onto new
+    vertex.  The lane's rule, the column bound and the mask depend only
+    on the child and its new vertex, so the judged column passes all
+    three, and its row is built and is G up to isomorphism.
 
-    A kept row is untied when its new vertex is the only non-cut vertex
+    A built row is untied when its new vertex is the only non-cut vertex
     of largest key, and is then kept as built, with no search; only the
     tied rows are canonized by _canon.min_codes, one kept per code.  No
     class is kept twice.  The number of non-cut vertices of largest key
@@ -290,15 +281,13 @@ def _level(n: int, lane: tuple[int, bool]) -> tuple[tuple[int, ...], ...]:
     vertex onto new vertex.  It then restricts to an isomorphism between
     their parents, which are one parent since the level below holds one
     graph per class, and is an automorphism of it that maps one built
-    column onto the other: the same column, as one is built per orbit.
+    column onto the other: the same column, as one is judged per orbit.
     """
     if n == 1:
         return ((0,),)
-    children = _children_rows(_level(n - 1, lane), n, lane)
     rows, tied = [], []
-    for nbrs, tie in zip(children, _deletion_candidates(children, n)):
-        if tie is not None:
-            (tied if tie else rows).append(nbrs)
+    for nbrs, tie in _children_rows(_level(n - 1, lane), n, lane):
+        (tied if tie else rows).append(nbrs)
     by_code = {}
     for nbrs, code in zip(tied, _canon.min_codes(_bit_rows(tied, n), n)):
         by_code.setdefault(code, nbrs)

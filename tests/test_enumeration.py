@@ -222,8 +222,7 @@ def test_children_rows_are_distinct(lane):
     # Untied rows are kept, and tied ones canonized, without deduplicating
     # the labeled rows first.
     for k in range(1, 8):
-        parents = enumeration._level(k, lane)
-        rows = enumeration._children_rows(parents, k + 1, lane)
+        rows = [nbrs for nbrs, _ in child_rows(k + 1, lane)]
         assert len(set(rows)) == len(rows)
 
 
@@ -266,6 +265,52 @@ def referee_children(parents, k, lane):
     return out
 
 
+def referee_mask(n, edges, noncut):
+    """McKay's mask on a child: None if a vertex for which noncut(w) holds
+    has a larger key than the new vertex n - 1, else whether another such
+    vertex has its key.  A key is (degree, sum of neighbour degrees);
+    noncut is asked only of vertices whose key is at least the new one's."""
+    deg, nsum = [0] * n, [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    for u, v in edges:
+        nsum[u] += deg[v]
+        nsum[v] += deg[u]
+    key = list(zip(deg, nsum))
+    tie = False
+    for w in range(n - 1):
+        if key[w] >= key[-1] and noncut(w):
+            if key[w] > key[-1]:
+                return None
+            tie = True
+    return tie
+
+
+def uf_mask(row, n):
+    """referee_mask on a column-order bit row, with a vertex non-cut when
+    union-find finds G - w connected."""
+    edges = [e for e, bit in zip(oracles.pairs_colmajor(n), row) if bit]
+
+    def noncut(w):
+        rest = [(u - (u > w), v - (v > w)) for u, v in edges if w not in (u, v)]
+        return oracles.connected_uf(n - 1, rest)
+
+    return referee_mask(n, edges, noncut)
+
+
+def nx_mask(nbrs):
+    """referee_mask on neighbour masks, with the vertices that are no
+    articulation point of networkx non-cut."""
+    nx = pytest.importorskip("networkx")
+    n, edges = len(nbrs), mask_edges(nbrs)
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(edges)
+    cut = set(nx.articulation_points(h))
+    return referee_mask(n, edges, lambda w: w not in cut)
+
+
 def vf2_automorphisms(n, edges):
     """Every automorphism, as vertex images, of a graph, by networkx VF2."""
     nx = pytest.importorskip("networkx")
@@ -306,37 +351,37 @@ def built_orbits(parents, k, rows):
 
 @pytest.mark.parametrize("lane", ALL_LANES)
 def test_children_rows_match_referee(lane):
-    # Built rows are rows the bound keeps, and every row it keeps has its
-    # column in the orbit of exactly one built column of its parent.
+    # Built rows are rows the bound and the networkx mask keep.  Every
+    # lane row the mask keeps has its column in the orbit of exactly one
+    # built column of its parent, and every row it drops in none.
     for k in range(1, 7):
         parents = enumeration._level(k, lane)
-        rows = enumeration._children_rows(parents, k + 1, lane)
-        want = {row for row, skipped in referee_children(parents, k, lane).items()
-                if not skipped}
-        assert set(map(bit_row, rows)) <= want
+        rows = [nbrs for nbrs, _ in child_rows(k + 1, lane)]
+        every = referee_children(parents, k, lane)
+        kept = {row for row in every if nx_mask(row_nbrs(row, k + 1)) is not None}
+        assert set(map(bit_row, rows)) <= {row for row in kept if not every[row]}
         orbits = built_orbits(parents, k, rows)
         m = _canon.num_pairs(k)
-        for row in want:
+        for row in every:
             col = row_column(row, k)
-            assert sum(col in orbit for orbit in orbits[row[:m]]) == 1
+            assert sum(col in orbit for orbit in orbits[row[:m]]) == (row in kept)
 
 
 @pytest.mark.parametrize("lane", ALL_LANES)
 def test_rows_the_bound_skips_fail_the_mask(lane):
     # The column bound and the orbit rule are shortcuts of the mask: every
-    # lane row outside the orbits of the built rows is a row the bound
-    # skips, and _deletion_candidates would have dropped it too.
+    # lane row the bound skips lies outside the orbits of the built rows,
+    # and the union-find mask drops every row that does.
     for k in range(1, 8):
         parents = enumeration._level(k, lane)
-        rows = enumeration._children_rows(parents, k + 1, lane)
+        rows = [nbrs for nbrs, _ in child_rows(k + 1, lane)]
         every = referee_children(parents, k, lane)
         assert set(map(bit_row, rows)) <= set(every)
         covered = {p: set().union(*orbits) for p, orbits in built_orbits(parents, k, rows).items()}
         m = _canon.num_pairs(k)
-        left = [row for row in every if row_column(row, k) not in covered[row[:m]]]
-        assert all(every[row] for row in left)
-        assert all(tie is None for tie in enumeration._deletion_candidates(
-            [row_nbrs(row, k + 1) for row in left], k + 1))
+        left = {row for row in every if row_column(row, k) not in covered[row[:m]]}
+        assert all(row in left for row, skip in every.items() if skip)
+        assert all(uf_mask(row, k + 1) is None for row in left)
 
 
 # OEIS A001349: the connected graphs on n = 1..8 vertices.
@@ -365,14 +410,13 @@ LANES = [(0, False), (0, True), (4, False), (5, False)]
 
 
 def child_rows(n, lane):
-    return enumeration._children_rows(enumeration._level(n - 1, lane), n, lane)
+    """The (neighbour masks, tie) pairs _children_rows builds for level n."""
+    return list(enumeration._children_rows(enumeration._level(n - 1, lane), n, lane))
 
 
 def kept_rows(n, lane):
     """Bit rows of the children the mask keeps, tied or not."""
-    rows = child_rows(n, lane)
-    return [bit_row(r) for r, tie in zip(rows, enumeration._deletion_candidates(rows, n))
-            if tie is not None]
+    return [bit_row(nbrs) for nbrs, _ in child_rows(n, lane)]
 
 
 class TestDeletionCandidates:
@@ -388,40 +432,26 @@ class TestDeletionCandidates:
                     == set(_canon.min_codes(every, n)))
 
     def test_mask_matches_networkx(self):
-        # Key (degree, sum of neighbour degrees); the new vertex n - 1 is
-        # kept unless a vertex that is no articulation point beats it, and
-        # tied if another such vertex has its key.  Every child row the
-        # lane allows is judged, the bound's too.
-        nx = pytest.importorskip("networkx")
-        for n in range(2, 8):
-            parents = enumeration._level(n - 1, (0, False))
-            rows = [row_nbrs(r, n) for r in referee_children(parents, n - 1, (0, False))]
-            got = enumeration._deletion_candidates(rows, n)
-            for nbrs, tie in zip(rows, got):
-                h = nx.Graph()
-                h.add_nodes_from(range(n))
-                h.add_edges_from((u, v) for u in range(n) for v in range(u)
-                                 if nbrs[u] >> v & 1)
-                deg = dict(h.degree())
-                key = {v: (deg[v], sum(deg[u] for u in h[v])) for v in h}
-                noncut = set(h) - set(nx.articulation_points(h))
-                kept = all(key[w] <= key[n - 1] for w in noncut)
-                assert (tie is not None) == kept
-                if kept:
-                    assert tie == (sum(key[w] == key[n - 1] for w in noncut) > 1)
+        # Every built (row, tie) pair of four lanes: the new vertex n - 1
+        # is kept, so no vertex that is no articulation point has a larger
+        # key, and the row is tied iff another such vertex has its key.
+        # That the rows the mask drops are not built is
+        # test_children_rows_match_referee.
+        built = [pair for lane in LANES for n in range(2, 8) for pair in child_rows(n, lane)]
+        assert len(built) == 1249
+        for nbrs, tie in built:
+            assert nx_mask(nbrs) is tie
 
     def test_rows_left_for_the_sweep(self):
-        # (rows built, rows the mask keeps, kept rows that are tied); only
-        # the tied rows are canonized.
-        counts = {(7, (0, False)): (2033, 905, 448),
-                  (8, (0, True)): (371, 194, 138),
-                  (8, (5, False)): (109, 52, 43),
-                  (8, (0, False)): (30096, 12106, 4610)}
+        # (rows built, which are the rows the mask keeps, built rows that
+        # are tied); only the tied rows are canonized.
+        counts = {(7, (0, False)): (905, 448),
+                  (8, (0, True)): (194, 138),
+                  (8, (5, False)): (52, 43),
+                  (8, (0, False)): (12106, 4610)}
         for (n, lane), want in counts.items():
             rows = child_rows(n, lane)
-            ties = enumeration._deletion_candidates(rows, n)
-            kept = sum(tie is not None for tie in ties)
-            assert (len(rows), kept, ties.count(True)) == want
+            assert (len(rows), sum(tie for _, tie in rows)) == want
 
 
 ATLAS_FILTERS = {
