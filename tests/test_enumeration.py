@@ -367,6 +367,40 @@ def test_children_rows_match_referee(lane):
             assert sum(col in orbit for orbit in orbits[row[:m]]) == (row in kept)
 
 
+def judged_sizes(parents, n, lane, monkeypatch):
+    """Per parent's bit row, the column sizes _children_rows walks for it:
+    the sizes the column bound lets through."""
+    by_size = enumeration._columns_by_size(n - 1)
+    walked = []
+
+    class Recorder:
+        def __getitem__(self, size):
+            walked.append(size)
+            return by_size[size]
+
+    monkeypatch.setattr(enumeration, "_columns_by_size", lambda k: Recorder())
+    out = {}
+    for nbrs in parents:
+        walked.clear()
+        list(enumeration._children_rows([nbrs], n, lane))
+        out[bit_row(nbrs)] = set(walked)
+    monkeypatch.undo()
+    return out
+
+
+@pytest.mark.parametrize("lane", ALL_LANES)
+def test_column_bound_matches_referee(lane, monkeypatch):
+    # The column bound lets through exactly the sizes of the lane rows
+    # the referee's bound does not skip: a looser bound judges columns
+    # the mask then drops, so no built row would show it.
+    for k in range(1, 7):
+        parents = enumeration._level(k, lane)
+        sizes = judged_sizes(parents, k + 1, lane, monkeypatch)
+        m = _canon.num_pairs(k)
+        for row, skip in referee_children(parents, k, lane).items():
+            assert (row_column(row, k).bit_count() in sizes[row[:m]]) is not skip
+
+
 @pytest.mark.parametrize("lane", ALL_LANES)
 def test_rows_the_bound_skips_fail_the_mask(lane):
     # The column bound and the orbit rule are shortcuts of the mask: every
@@ -442,16 +476,27 @@ class TestDeletionCandidates:
         for nbrs, tie in built:
             assert nx_mask(nbrs) is tie
 
-    def test_rows_left_for_the_sweep(self):
-        # (rows built, which are the rows the mask keeps, built rows that
-        # are tied); only the tied rows are canonized.
-        counts = {(7, (0, False)): (905, 448),
-                  (8, (0, True)): (194, 138),
-                  (8, (5, False)): (52, 43),
-                  (8, (0, False)): (12106, 4610)}
+    def test_rows_left_for_the_sweep(self, monkeypatch):
+        # (columns judged, rows built, which are the rows the mask keeps,
+        # built rows that are tied); only the tied rows are canonized.  A
+        # judged column is one orbit of the parent's lane columns in a
+        # size the column bound lets through.
+        counts = {(7, (0, False)): (2033, 905, 448),
+                  (8, (0, True)): (371, 194, 138),
+                  (8, (5, False)): (109, 52, 43),
+                  (8, (0, False)): (30096, 12106, 4610)}
         for (n, lane), want in counts.items():
+            parents = enumeration._level(n - 1, lane)
+            sizes = judged_sizes(parents, n, lane, monkeypatch)
+            m = _canon.num_pairs(n - 1)
+            judged = set()
+            for row in referee_children(parents, n - 1, lane):
+                col = row_column(row, n - 1)
+                if col.bit_count() in sizes[row[:m]]:
+                    auts = parent_automorphisms(row_nbrs(row[:m], n - 1))
+                    judged.add((row[:m], frozenset(column_orbit(col, auts))))
             rows = child_rows(n, lane)
-            assert (len(rows), sum(tie for _, tie in rows)) == want
+            assert (len(judged), len(rows), sum(tie for _, tie in rows)) == want
 
 
 ATLAS_FILTERS = {
