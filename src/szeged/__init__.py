@@ -23,14 +23,12 @@ from .extremal import (
     THEOREMS,
     BoundValue,
     TreeSpec,
-    bound_thm1,
-    bound_thm2,
-    bound_thm3,
     c5_two_trees,
     cycle_with_tree,
     is_equality_thm1,
     is_equality_thm2,
     is_equality_thm3,
+    theorem_bound,
     universe_filter,
 )
 from .formats import canonical_form, emit_edgelist, emit_graph6, parse_edgelist, parse_graph6

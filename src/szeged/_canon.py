@@ -3,7 +3,9 @@
 A labeled graph on n vertices is a 0/1 vector over the C(n,2) vertex pairs in
 column order (0,1), (0,2), (1,2), (0,3), ... — the same order graph6 uses.
 Read as an m-bit integer with the first pair as the top bit, it is the graph's
-code under that labeling.
+code under that labeling.  Pair positions come from pair_index and pair_at;
+bit_rows writes the vector as bytes from a graph's neighbour bitmasks, and
+min_codes decodes it back, so the layout is known here alone.
 
 Two canonizers give two canonical codes.  min_code finds the lex-min code,
 the smallest over all n! relabelings, by a prefix search; it names graphs.
@@ -247,6 +249,21 @@ def automorphisms(nbrs: Sequence[int]) -> list[tuple[int, ...]]:
     gens: list[tuple[int, ...]] = []
     _search(nbrs, gens)
     return list(dict.fromkeys(gens))
+
+
+@lru_cache(maxsize=None)
+def _column_bits(j: int) -> tuple[bytes, ...]:
+    """Column j's bits, pairs (0, j), ..., (j - 1, j), per mask of its
+    neighbours below j."""
+    return tuple(bytes(col >> i & 1 for i in range(j)) for col in range(1 << j))
+
+
+def bit_rows(rows: Iterable[Sequence[int]], n: int) -> list[bytes]:
+    """Column-order bit row, as bytes, of each graph given by neighbour
+    bitmasks on n vertices; min_codes reads such rows back."""
+    columns = [(j, _column_bits(j), (1 << j) - 1) for j in range(1, n)]
+    return [b"".join([bits[nbrs[j] & below] for j, bits, below in columns])
+            for nbrs in rows]
 
 
 def min_codes(rows: Iterable[Sequence[int]], n: int) -> list[int]:

@@ -8,11 +8,12 @@ bitmasks on Python ints throughout.  Of the columns a parent's
 automorphisms map onto each other only one is judged, and its row is
 built only if the new vertex is a non-cut vertex of largest key, which
 the parent's own degrees and components decide: kept as built if it is
-the only one, and otherwise deduplicated by the canonical code of
-_canon.min_codes.  Hereditary constraints (bipartite, no short cycles)
-prune columns by the parents' distances in _children_rows; the
-non-hereditary filters (nonbipartite, edge count) run on the last
-level's representatives.
+the only one, and otherwise deduplicated by the canonical code
+_canon.min_codes gives its bit row, written by _canon.bit_rows: the
+pair layout is _canon's alone.  Hereditary constraints (bipartite, no
+short cycles) prune columns by the parents' distances in
+_children_rows; the non-hereditary filters (nonbipartite, edge count)
+run on the last level's representatives.
 """
 
 from __future__ import annotations
@@ -232,20 +233,6 @@ def _children_rows(parents, child_n: int,
 
 
 @lru_cache(maxsize=None)
-def _column_bits(j: int) -> tuple[bytes, ...]:
-    """Column j's bits, pairs (0, j), ..., (j - 1, j), per mask of its
-    neighbours below j."""
-    return tuple(bytes(col >> i & 1 for i in range(j)) for col in range(1 << j))
-
-
-def _bit_rows(rows, n: int) -> list[bytes]:
-    """Column-order bit rows of graphs given by neighbour bitmasks."""
-    columns = [(j, _column_bits(j), (1 << j) - 1) for j in range(1, n)]
-    return [b"".join([bits[nbrs[j] & below] for j, bits, below in columns])
-            for nbrs in rows]
-
-
-@lru_cache(maxsize=None)
 def _level(n: int, lane: tuple[int, bool]) -> tuple[tuple[int, ...], ...]:
     """Neighbour bitmasks of one graph per isomorphism class of the
     connected lane-surviving n-vertex graphs.
@@ -274,7 +261,8 @@ def _level(n: int, lane: tuple[int, bool]) -> tuple[tuple[int, ...], ...]:
 
     A built row is untied when its new vertex is the only non-cut vertex
     of largest key, and is then kept as built, with no search; only the
-    tied rows are canonized by _canon.min_codes, one kept per code.  No
+    tied rows are canonized, their bit rows written by _canon.bit_rows
+    and searched by _canon.min_codes, one kept per code.  No
     class is kept twice.  The number of non-cut vertices of largest key
     is an isomorphism invariant, so no tied row is isomorphic to an
     untied one, and an isomorphism between two untied rows maps new
@@ -289,7 +277,7 @@ def _level(n: int, lane: tuple[int, bool]) -> tuple[tuple[int, ...], ...]:
     for nbrs, tie in _children_rows(_level(n - 1, lane), n, lane):
         (tied if tie else rows).append(nbrs)
     by_code = {}
-    for nbrs, code in zip(tied, _canon.min_codes(_bit_rows(tied, n), n)):
+    for nbrs, code in zip(tied, _canon.min_codes(_canon.bit_rows(tied, n), n)):
         by_code.setdefault(code, nbrs)
     return (*rows, *by_code.values())
 

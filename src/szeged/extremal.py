@@ -140,25 +140,12 @@ def universe_filter(which: str, n: int) -> UniverseFilter:
 
 
 def theorem_bound(which: str, n: int) -> BoundValue:
-    """One theorem's bound at n; HypothesisViolated below its minimum n."""
+    """One theorem's bound at n, read from its row of _THEOREMS: 2n - 5,
+    4n - 8 or (n^2 + 4n - 6)/4.  ValueError for an unknown theorem,
+    HypothesisViolated below its minimum n."""
     universe_filter(which, n)
     t = _THEOREMS[which]
     return BoundValue(t.numerator(n), t.denominator)
-
-
-def bound_thm1(n: int) -> BoundValue:
-    """2n - 5 for n >= 5."""
-    return theorem_bound("thm1", n)
-
-
-def bound_thm2(n: int) -> BoundValue:
-    """4n - 8 for n >= 4."""
-    return theorem_bound("thm2", n)
-
-
-def bound_thm3(n: int) -> BoundValue:
-    """(n^2 + 4n - 6)/4 for n >= 4."""
-    return theorem_bound("thm3", n)
 
 
 def _is_equality(which: str, g: Graph) -> bool:

@@ -20,15 +20,15 @@ PUBLIC = [
     "LemmaReport", "PairContribution", "SamePair", "SelfLoop", "THEOREMS",
     "TooLarge", "TreeSpec", "UniverseFilter", "VerificationReport",
     "VertexOutOfRange", "adjacency_bits", "apsp", "blocks",
-    "blocks_all_complete", "bound_thm1", "bound_thm2", "bound_thm3",
+    "blocks_all_complete",
     "build_graph", "c5_two_trees", "canonical_form", "complete_graph",
     "cycle_graph", "cycle_with_tree", "emit_edgelist", "emit_graph6",
     "enumerate_connected", "enumeration", "errors", "extremal", "formats",
     "girth", "graphs", "index_report", "invariants",
     "is_bipartite", "is_connected", "is_equality_thm1", "is_equality_thm2",
     "is_equality_thm3", "odd_girth", "parse_edgelist", "parse_graph6",
-    "path_graph", "pi", "relabel", "universe_filter", "verify",
-    "verify_lemmas", "verify_theorem",
+    "path_graph", "pi", "relabel", "theorem_bound", "universe_filter",
+    "verify", "verify_lemmas", "verify_theorem",
 ]
 
 

@@ -440,6 +440,27 @@ def test_level_holds_one_row_per_class(lane):
             assert set(codes) == set(_canon.min_codes(every, n))
 
 
+# OEIS A005142: the connected bipartite graphs on n = 1..10 vertices.
+CONNECTED_BIPARTITE_CLASSES = [1, 1, 1, 3, 5, 17, 44, 182, 730, 4032]
+
+
+def test_bipartite_lane_past_its_cap():
+    # The bipartite lane two levels past thm2's cap of 8, refereed by
+    # A005142: one row per class, with pairwise distinct codes.
+    for n, count in enumerate(CONNECTED_BIPARTITE_CLASSES, 1):
+        codes = level_codes(n, (0, True))
+        assert len(set(codes)) == len(codes) == count
+
+
+def test_bit_rows_write_column_order():
+    # The rows _level hands to min_codes are the test's own column-order
+    # rows, on every lane up to n = 7.
+    for lane in ALL_LANES:
+        for n in range(1, 8):
+            level = enumeration._level(n, lane)
+            assert _canon.bit_rows(level, n) == [bytes(bit_row(nbrs)) for nbrs in level]
+
+
 LANES = [(0, False), (0, True), (4, False), (5, False)]
 
 

@@ -13,9 +13,6 @@ from szeged import (
     InvalidTreeSpec,
     TreeSpec,
     UniverseFilter,
-    bound_thm1,
-    bound_thm2,
-    bound_thm3,
     build_graph,
     c5_two_trees,
     complete_graph,
@@ -27,6 +24,7 @@ from szeged import (
     is_equality_thm2,
     is_equality_thm3,
     path_graph,
+    theorem_bound,
     universe_filter,
 )
 
@@ -108,19 +106,18 @@ class TestConstructors:
 
 class TestBounds:
     def test_values(self):
-        assert (bound_thm1(5).numerator, bound_thm1(5).denominator) == (5, 1)
-        assert bound_thm1(8).numerator == 11
-        assert (bound_thm2(4).numerator, bound_thm2(4).denominator) == (8, 1)
-        assert bound_thm2(7).numerator == 20
-        assert (bound_thm3(4).numerator, bound_thm3(4).denominator) == (26, 4)
-        assert bound_thm3(7).numerator == 71
+        assert THEOREMS == ("thm1", "thm2", "thm3")
+        assert theorem_bound("thm1", 5) == (5, 1)
+        assert theorem_bound("thm1", 8).numerator == 11
+        assert theorem_bound("thm2", 4) == (8, 1)
+        assert theorem_bound("thm2", 7).numerator == 20
+        assert theorem_bound("thm3", 4) == (26, 4)
+        assert theorem_bound("thm3", 7).numerator == 71
 
-    @pytest.mark.parametrize("fn,n", [
-        (bound_thm1, 4), (bound_thm2, 3), (bound_thm3, 3),
-    ])
-    def test_below_hypothesis(self, fn, n):
+    @pytest.mark.parametrize("which,n", zip(THEOREMS, (4, 3, 3)))
+    def test_below_hypothesis(self, which, n):
         with pytest.raises(HypothesisViolated):
-            fn(n)
+            theorem_bound(which, n)
 
 
 class TestEqualityPredicates:
@@ -204,7 +201,7 @@ class TestFamilyGaps:
                 g = cycle_with_tree(5, t)
                 r = index_report(g)
                 assert r.n == n
-                assert r.gap_sz == bound_thm1(n).numerator == 2 * n - 5
+                assert r.gap_sz == theorem_bound("thm1", n).numerator == 2 * n - 5
                 assert is_equality_thm1(g)
 
     def test_thm1_two_trees_all_sizes(self):
@@ -225,7 +222,7 @@ class TestFamilyGaps:
                 g = cycle_with_tree(4, t)
                 r = index_report(g)
                 assert r.n == n and r.bipartite
-                assert r.gap_sz == bound_thm2(n).numerator == 4 * n - 8
+                assert r.gap_sz == theorem_bound("thm2", n).numerator == 4 * n - 8
                 assert r.revised_szeged_x4 == 4 * r.szeged
                 assert is_equality_thm2(g)
 
@@ -236,7 +233,7 @@ class TestFamilyGaps:
                 g = cycle_with_tree(3, t)
                 r = index_report(g)
                 assert r.n == n and not r.bipartite
-                assert r.gap_rsz_x4 == bound_thm3(n).numerator
+                assert r.gap_rsz_x4 == theorem_bound("thm3", n).numerator
                 assert r.gap_rsz_x4 == n * n + 4 * n - 6
                 assert is_equality_thm3(g)
 
